@@ -16,9 +16,9 @@ The child process matters: ``ru_maxrss`` is a process-lifetime
 high-water mark, so measuring inside a long-lived pytest or CLI process
 would inherit whatever the process had already touched.  A fresh child
 starts from the interpreter + numpy baseline and everything above it is
-attributable to the run.  Workers forked by the parallel backend are
-separate processes; the recorded bound is the driver's residency, which
-is where the morsel paging and arena traffic live.
+attributable to the run.  The parallel backend's workers are threads of
+that same child, so its recorded delta covers all the parallel work —
+morsel paging and every morsel's scratch arrays included.
 
 ``repro bench --oocore --compare`` re-records under the baseline's own
 shape and gates wall time per backend with the same threshold + floor

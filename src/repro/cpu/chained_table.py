@@ -144,21 +144,21 @@ class ChainedHashTable:
         """
         from repro.cpu.segments import split_segments
         from repro.exec.parallel import SharedArena, morsel_pool
+        from repro.exec.parallel.kernels import chain_links
 
         n = b.size
         pool = morsel_pool(n)
         if pool is None:
             return None
         segments = split_segments(n, pool.n_workers)
-        with SharedArena(use_shm=pool.uses_processes) as arena:
-            b_ref = arena.share(b)
-            nxt_view, nxt_ref = arena.empty(n, np.int64)
-            nxt_view.fill(-1)
-            results = pool.run("chain_links", [
-                dict(buckets=b_ref, nxt=nxt_ref, a=a, b=hi)
-                for (a, hi) in segments
-            ])
-            nxt = nxt_view.copy() if pool.uses_processes else nxt_view
+        arena = SharedArena()
+        buckets = arena.share(b)
+        nxt = arena.empty(n, np.int64)
+        nxt.fill(-1)
+        results = pool.run(chain_links, [
+            dict(buckets=buckets, nxt=nxt, a=a, b=hi)
+            for (a, hi) in segments
+        ])
         # Stitch: walk segments in index order; a bucket's first entry in
         # a segment chains to its last entry in the previous segments.
         prev_last = np.full(self.n_buckets, -1, dtype=np.int64)

@@ -202,39 +202,33 @@ def _scatter_parallel(
     the output arrays match ``_scatter_vector`` bit for bit.
     """
     from repro.exec.parallel import SharedArena, morsel_pool
+    from repro.exec.parallel.kernels import partition_hist, partition_scatter
 
     pool = morsel_pool(keys.size)
     if pool is None:
         return _scatter_vector(keys, payloads, hashes, part_ids, fanout,
                                segments)
-    with SharedArena(use_shm=pool.uses_processes) as arena:
-        ids_ref = arena.share(part_ids)
-        hist_rows = pool.run("partition_hist", [
-            dict(ids=ids_ref, a=a, b=b, fanout=fanout)
-            for (a, b) in segments
-        ])
-        hist = np.stack(hist_rows).astype(np.int64, copy=False)
-        base = _partition_bases(hist)
-        n = keys.size
-        offsets = np.zeros(fanout + 1, dtype=np.int64)
-        np.cumsum(hist.sum(axis=0), out=offsets[1:])
-        keys_ref = arena.share(keys)
-        pays_ref = arena.share(payloads)
-        hashes_ref = arena.share(hashes)
-        keys_out, keys_out_ref = arena.empty(n, KEY_DTYPE)
-        pays_out, pays_out_ref = arena.empty(n, PAYLOAD_DTYPE)
-        hashes_out, hashes_out_ref = arena.empty(n, np.uint32)
-        pool.run("partition_scatter", [
-            dict(keys=keys_ref, payloads=pays_ref, hashes=hashes_ref,
-                 ids=ids_ref, keys_out=keys_out_ref, pays_out=pays_out_ref,
-                 hashes_out=hashes_out_ref, a=a, b=b,
-                 base_row=base[t], counts_row=hist[t])
-            for t, (a, b) in enumerate(segments) if b > a
-        ])
-        if pool.uses_processes:
-            # The views die with the arena; copy results out first.
-            return keys_out.copy(), pays_out.copy(), hashes_out.copy(), offsets
-        return keys_out, pays_out, hashes_out, offsets
+    arena = SharedArena()
+    ids = arena.share(part_ids)
+    hist_rows = pool.run(partition_hist, [
+        dict(ids=ids, a=a, b=b, fanout=fanout) for (a, b) in segments
+    ])
+    hist = np.stack(hist_rows).astype(np.int64, copy=False)
+    base = _partition_bases(hist)
+    n = keys.size
+    offsets = np.zeros(fanout + 1, dtype=np.int64)
+    np.cumsum(hist.sum(axis=0), out=offsets[1:])
+    keys_out = arena.empty(n, KEY_DTYPE)
+    pays_out = arena.empty(n, PAYLOAD_DTYPE)
+    hashes_out = arena.empty(n, np.uint32)
+    task = dict(keys=arena.share(keys), payloads=arena.share(payloads),
+                hashes=arena.share(hashes), ids=ids, keys_out=keys_out,
+                pays_out=pays_out, hashes_out=hashes_out)
+    pool.run(partition_scatter, [
+        dict(task, a=a, b=b, base_row=base[t], counts_row=hist[t])
+        for t, (a, b) in enumerate(segments) if b > a
+    ])
+    return keys_out, pays_out, hashes_out, offsets
 
 
 def _scatter(
@@ -331,6 +325,7 @@ def _refine_parallel(
     caller should refine per partition on the vector path.
     """
     from repro.exec.parallel import MORSELS_PER_WORKER, SharedArena, morsel_pool
+    from repro.exec.parallel.kernels import refine_chunk
 
     if parent.hashes is None:
         return None
@@ -354,27 +349,16 @@ def _refine_parallel(
             chunk_tuples = 0
         chunks[-1].append(span)
         chunk_tuples += span[2] - span[1]
-    with SharedArena(use_shm=pool.uses_processes) as arena:
-        keys_ref = arena.share(parent.keys)
-        pays_ref = arena.share(parent.payloads)
-        hashes_ref = arena.share(parent.hashes)
-        ids_ref = arena.share(ids)
-        ko_view, ko_ref = arena.output_like(keys_out)
-        po_view, po_ref = arena.output_like(pays_out)
-        ho_view, ho_ref = arena.output_like(hashes_out)
-        results = pool.run("refine_chunk", [
-            dict(keys=keys_ref, payloads=pays_ref, hashes=hashes_ref,
-                 ids=ids_ref, keys_out=ko_ref, pays_out=po_ref,
-                 hashes_out=ho_ref, sub_fanout=sub_fanout,
-                 bounds=[(lo, hi) for (_p, lo, hi) in chunk])
-            for chunk in chunks
-        ])
-        if pool.uses_processes:
-            for chunk in chunks:
-                for _p, lo, hi in chunk:
-                    keys_out[lo:hi] = ko_view[lo:hi]
-                    pays_out[lo:hi] = po_view[lo:hi]
-                    hashes_out[lo:hi] = ho_view[lo:hi]
+    arena = SharedArena()
+    task = dict(keys=arena.share(parent.keys),
+                payloads=arena.share(parent.payloads),
+                hashes=arena.share(parent.hashes), ids=arena.share(ids),
+                keys_out=keys_out, pays_out=pays_out, hashes_out=hashes_out,
+                sub_fanout=sub_fanout)
+    results = pool.run(refine_chunk, [
+        dict(task, bounds=[(lo, hi) for (_p, lo, hi) in chunk])
+        for chunk in chunks
+    ])
     sub_sizes_by_p = {}
     for chunk, matrix in zip(chunks, results):
         for row, (p, _lo, _hi) in enumerate(chunk):

@@ -16,10 +16,10 @@ identical renditions:
   differential harness to pin the vector path down to bit-identical
   outputs, :class:`~repro.exec.counters.OpCounters`, and phase structure.
 * ``parallel`` — the vector phases executed morsel-by-morsel on a
-  persistent multiprocessing worker pool over shared-memory arenas
+  persistent thread pool over the pipeline's own arrays
   (:mod:`repro.exec.parallel`).  Phases without a dedicated parallel
-  rendition — and hosts where shared memory is unusable — run the vector
-  one; either way results stay bit-identical, only wall time changes.
+  rendition run the vector one; either way results stay bit-identical,
+  only wall time changes.
 
 Selection is ambient.  The process default comes from the
 ``REPRO_BACKEND`` environment variable (``vector`` when unset); tests and
@@ -36,7 +36,6 @@ hypothesis property suite enforce that invariant for every algorithm.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterator, Optional, TypeVar
@@ -59,9 +58,6 @@ _override: ContextVar[Optional[str]] = ContextVar("repro_backend_override",
                                                   default=None)
 
 _F = TypeVar("_F", bound=Callable)
-
-#: One fallback warning per process keeps degraded sandboxes quiet.
-_warned_fallback = False
 
 
 def validate_backend(name: str) -> str:
@@ -103,38 +99,6 @@ def is_vector() -> bool:
     return current_backend() != SCALAR
 
 
-def parallel_status() -> "tuple[bool, Optional[str]]":
-    """(usable, reason) for the parallel backend on this host (cached)."""
-    from repro.exec.parallel import availability
-    return availability()
-
-
-def require_parallel() -> None:
-    """Raise a typed :class:`ConfigError` when parallel cannot run here.
-
-    The ambient fallback in :func:`dispatch` is deliberately graceful
-    (warn once, run vector); callers that must not silently degrade —
-    CI legs pinned to the parallel backend, for example — call this
-    first to fail loudly instead.
-    """
-    usable, reason = parallel_status()
-    if not usable:
-        raise ConfigError(
-            f"parallel backend unavailable on this host: {reason}; "
-            f"set {BACKEND_ENV}=vector (or fix shared memory) and retry",
-            backend=PARALLEL, reason=reason,
-        )
-
-
-def _fallback_to_vector(reason: Optional[str]) -> None:
-    global _warned_fallback
-    if not _warned_fallback:
-        _warned_fallback = True
-        warnings.warn(
-            f"parallel backend unavailable ({reason}); falling back to the "
-            "vector backend for this process", RuntimeWarning, stacklevel=3)
-
-
 @contextmanager
 def use_backend(name: str) -> Iterator[str]:
     """Select a backend for the duration of the block (re-entrant)."""
@@ -152,16 +116,10 @@ def dispatch(scalar_impl: _F, vector_impl: _F,
 
     Two-argument call sites cover phases with no dedicated parallel
     rendition: under the parallel backend they receive ``vector_impl``.
-    When parallel is selected but unusable on this host (no shared
-    memory), the vector implementation is returned after a one-time
-    warning — see :func:`require_parallel` for the strict variant.
     """
     backend = current_backend()
     if backend == SCALAR:
         return scalar_impl
     if backend == PARALLEL and parallel_impl is not None:
-        usable, reason = parallel_status()
-        if usable:
-            return parallel_impl
-        _fallback_to_vector(reason)
+        return parallel_impl
     return vector_impl

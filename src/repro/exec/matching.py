@@ -100,15 +100,15 @@ def _match_group_stats_parallel(
 ) -> Tuple[int, int]:
     """Morsel-parallel tally: R-side group index + per-S-morsel probes.
 
-    The driver builds the per-key (count, payload-sum) index of R once,
-    ships it through the arena, and sums per-morsel contributions.  The
-    per-tuple checksum ``r_sums[key] * s_payload`` equals the vector
-    backend's per-key ``r_sums * s_sums`` because multiplication
-    distributes over addition mod 2**64, and morsel merge order is
-    irrelevant for the same reason — so the result is bit-identical
-    regardless of worker count.
+    The per-key (count, payload-sum) index of R is built once and the
+    per-morsel contributions are summed.  The per-tuple checksum
+    ``r_sums[key] * s_payload`` equals the vector backend's per-key
+    ``r_sums * s_sums`` because multiplication distributes over addition
+    mod 2**64, and morsel merge order is irrelevant for the same reason —
+    so the result is bit-identical regardless of worker count.
     """
     from repro.exec.parallel import SharedArena, morsel_pool
+    from repro.exec.parallel.kernels import match_stats
 
     pool = morsel_pool(r_keys.size + s_keys.size)
     if pool is None or r_keys.size == 0 or s_keys.size == 0:
@@ -118,15 +118,13 @@ def _match_group_stats_parallel(
     r_counts = np.bincount(r_inv, minlength=r_uniq.size)
     r_sums = np.zeros(r_uniq.size, dtype=np.uint64)
     np.add.at(r_sums, r_inv, r_payloads.astype(np.uint64))
-    with SharedArena(use_shm=pool.uses_processes) as arena:
-        task = dict(r_uniq=arena.share(r_uniq),
-                    r_counts=arena.share(r_counts),
-                    r_sums=arena.share(r_sums),
-                    s_keys=arena.share(s_keys),
-                    s_payloads=arena.share(s_payloads))
-        results = pool.run("match_stats", [
-            dict(task, a=a, b=b) for (a, b) in _s_morsels(s_keys.size, pool)
-        ])
+    arena = SharedArena()
+    task = dict(r_uniq=arena.share(r_uniq), r_counts=arena.share(r_counts),
+                r_sums=arena.share(r_sums), s_keys=arena.share(s_keys),
+                s_payloads=arena.share(s_payloads))
+    results = pool.run(match_stats, [
+        dict(task, a=a, b=b) for (a, b) in _s_morsels(s_keys.size, pool)
+    ])
     total = sum(t for t, _c in results)
     checksum = sum(c for _t, c in results)
     return total, checksum & _U64_MASK
@@ -250,12 +248,12 @@ def _expand_pairs_parallel(
 
     Round 1 counts each S morsel's output; the driver prefix-sums those
     counts into per-morsel output offsets; round 2 writes each morsel's
-    pairs into its disjoint slice of the shared output.  Because morsels
-    are contiguous S spans and pairs are ordered by S tuple then R
-    insertion order, the concatenation equals the vector expansion
-    bit for bit.
+    pairs into its disjoint slice of the output.  Because morsels are
+    contiguous S spans and pairs are ordered by S tuple then R insertion
+    order, the concatenation equals the vector expansion bit for bit.
     """
     from repro.exec.parallel import SharedArena, morsel_pool
+    from repro.exec.parallel.kernels import expand_count, expand_write
 
     pool = morsel_pool(r_keys.size + s_keys.size)
     if pool is None or r_keys.size == 0 or s_keys.size == 0:
@@ -266,34 +264,26 @@ def _expand_pairs_parallel(
     group_keys, group_start = np.unique(rk, return_index=True)
     group_count = np.diff(np.append(group_start, rk.size))
     morsels = _s_morsels(s_keys.size, pool)
-    with SharedArena(use_shm=pool.uses_processes) as arena:
-        gk_ref = arena.share(group_keys)
-        gs_ref = arena.share(group_start)
-        gc_ref = arena.share(group_count)
-        rp_ref = arena.share(rp)
-        sk_ref = arena.share(s_keys)
-        sp_ref = arena.share(s_payloads)
-        counts = pool.run("expand_count", [
-            dict(group_keys=gk_ref, group_count=gc_ref, s_keys=sk_ref,
-                 a=a, b=b)
-            for (a, b) in morsels
-        ])
-        total = int(sum(counts))
-        if total == 0:
-            return np.empty(0, np.uint32), np.empty(0, np.uint32)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        out_r, out_r_ref = arena.empty(total, np.uint32)
-        out_s, out_s_ref = arena.empty(total, np.uint32)
-        pool.run("expand_write", [
-            dict(group_keys=gk_ref, group_start=gs_ref, group_count=gc_ref,
-                 r_pays_sorted=rp_ref, s_keys=sk_ref, s_payloads=sp_ref,
-                 out_r=out_r_ref, out_s=out_s_ref, a=a, b=b,
-                 offset=int(offsets[i]))
-            for i, (a, b) in enumerate(morsels) if counts[i]
-        ])
-        if pool.uses_processes:
-            return out_r.copy(), out_s.copy()
-        return out_r, out_s
+    arena = SharedArena()
+    index = dict(group_keys=arena.share(group_keys),
+                 group_count=arena.share(group_count),
+                 s_keys=arena.share(s_keys))
+    counts = pool.run(expand_count, [dict(index, a=a, b=b)
+                                     for (a, b) in morsels])
+    total = int(sum(counts))
+    if total == 0:
+        return np.empty(0, np.uint32), np.empty(0, np.uint32)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    out_r = arena.empty(total, np.uint32)
+    out_s = arena.empty(total, np.uint32)
+    task = dict(index, group_start=arena.share(group_start),
+                r_pays_sorted=arena.share(rp),
+                s_payloads=arena.share(s_payloads), out_r=out_r, out_s=out_s)
+    pool.run(expand_write, [
+        dict(task, a=a, b=b, offset=int(offsets[i]))
+        for i, (a, b) in enumerate(morsels) if counts[i]
+    ])
+    return out_r, out_s
 
 
 def per_key_match_counts(

@@ -1,10 +1,10 @@
-"""Morsel-driven multicore execution over shared-memory arenas.
+"""Morsel-driven multicore execution on a thread pool.
 
 The third execution backend (``REPRO_BACKEND=parallel``): a persistent
-:class:`~repro.exec.parallel.pool.WorkerPool` of real processes computes
-the dominant vector phases — partition scatter/refine, chained-table
-build, match-group stats and pair expansion — over
-``multiprocessing.shared_memory`` arenas, one morsel at a time.
+:class:`~repro.exec.parallel.pool.WorkerPool` of threads computes the
+dominant vector phases — partition scatter/refine, chained-table build,
+match-group stats and pair expansion — over the pipeline's own arrays, one
+morsel at a time.
 
 Division of labour:
 
@@ -20,29 +20,22 @@ That split is what makes the backend observationally identical to
 structure, and fault behaviour cannot depend on the real worker count.
 
 :func:`morsel_pool` is the single gate the hot paths consult: it returns
-the pool only when the parallel backend is active, usable on this host,
-and the phase is large enough to amortize morsel overhead.
+the pool only when the parallel backend is active and the phase is large
+enough to amortize morsel overhead.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.exec.parallel.arena import ArrayRef, SharedArena, shared_memory_probe
+from repro.exec.parallel.arena import SharedArena
 from repro.exec.parallel.pool import (
-    DEFAULT_MAX_RESPAWNS,
     DEFAULT_MIN_PARALLEL_TUPLES,
     MIN_TUPLES_ENV,
-    RESPAWNS_ENV,
     WORKERS_ENV,
     WorkerPool,
-    availability,
-    current_liveness,
-    current_pool,
     get_pool,
     min_parallel_tuples,
-    reset_availability_cache,
-    respawn_budget,
     shutdown_pool,
     worker_count,
 )
@@ -51,68 +44,32 @@ from repro.exec.parallel.pool import (
 #: queue always holds spare morsels for early finishers to steal.
 MORSELS_PER_WORKER = 2
 
-_warned_exhausted = False
-
-
-def reset_exhaustion_warning() -> None:
-    """Re-arm the warn-once exhaustion message (tests)."""
-    global _warned_exhausted
-    _warned_exhausted = False
-
 
 def morsel_pool(n_tuples: int) -> Optional[WorkerPool]:
     """The pool to run an ``n_tuples``-sized phase on, or None.
 
     None means "stay on the vector path": the parallel backend is not the
-    ambient backend, shared memory is unusable here, the phase is too
-    small to engage the pool (``REPRO_PARALLEL_MIN_TUPLES``), or the
-    pool's worker-respawn budget is exhausted — the last case warns once
-    and degrades every later phase to the (bit-identical) vector
-    rendition, mirroring the GPU -> CPU fallback ladder.
+    ambient backend, or the phase is too small to engage the pool
+    (``REPRO_PARALLEL_MIN_TUPLES``).
     """
     from repro.exec.backend import PARALLEL, current_backend
     if current_backend() != PARALLEL:
         return None
-    usable, _reason = availability()
-    if not usable:
-        return None
     if n_tuples < min_parallel_tuples():
         return None
-    pool = get_pool()
-    pool.heal()
-    if pool.exhausted:
-        global _warned_exhausted
-        if not _warned_exhausted:
-            _warned_exhausted = True
-            import warnings
-            warnings.warn(
-                "parallel worker pool exhausted its respawn budget "
-                f"({pool.respawns}/{pool.max_respawns} used); degrading "
-                "to the vector backend rendition",
-                RuntimeWarning, stacklevel=2)
-        return None
-    return pool
+    return get_pool()
 
 
 __all__ = [
-    "ArrayRef",
-    "DEFAULT_MAX_RESPAWNS",
     "DEFAULT_MIN_PARALLEL_TUPLES",
     "MIN_TUPLES_ENV",
     "MORSELS_PER_WORKER",
-    "RESPAWNS_ENV",
     "SharedArena",
     "WORKERS_ENV",
     "WorkerPool",
-    "availability",
-    "current_liveness",
-    "current_pool",
     "get_pool",
     "min_parallel_tuples",
     "morsel_pool",
-    "reset_availability_cache",
-    "reset_exhaustion_warning",
-    "respawn_budget",
     "shutdown_pool",
     "worker_count",
 ]

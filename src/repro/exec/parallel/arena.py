@@ -1,261 +1,24 @@
-"""Shared-memory arenas: zero-copy array transport for the worker pool.
+"""The arrays one parallel phase exposes to its morsels.
 
-A :class:`SharedArena` is a driver-side collection of POSIX shared-memory
-segments, one per array.  The driver copies inputs in (or allocates empty
-output arrays), hands the picklable :class:`ArrayRef` handles to worker
-tasks, reads results back through its own views, and unlinks every segment
-on close.  Workers attach by name, compute, and close — they never unlink,
-so segment lifetime is owned entirely by the driver.
-
-When the pool runs inline (a single worker executes morsels in-process),
-the arena skips shared memory entirely: refs simply carry the ndarray.
-That keeps single-core machines and tiny inputs on the plain vector path
-cost-wise while exercising the same kernel code.
+Worker threads share the pipeline's address space, so sharing an array is
+handing over the array itself: inputs — file-backed memmap morsels
+included — are read by address, and outputs are plain arrays the morsels
+fill in disjoint slices.  :class:`SharedArena` is the one place a phase
+does that, which keeps the bytes a phase shares measurable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
 import numpy as np
-
-from repro.errors import ExecutionError
-
-try:  # pragma: no cover - import failure is the restricted-sandbox case
-    from multiprocessing import shared_memory as _shm_mod
-    _SHM_IMPORT_ERROR: Optional[BaseException] = None
-except Exception as exc:  # pragma: no cover
-    _shm_mod = None
-    _SHM_IMPORT_ERROR = exc
-
-
-def shared_memory_probe() -> Optional[str]:
-    """None when POSIX shared memory works here, else the reason it cannot.
-
-    Restricted sandboxes may lack /dev/shm or forbid shm_open; the backend
-    layer turns a non-None reason into a graceful fallback to ``vector``.
-    """
-    if _shm_mod is None:
-        return f"multiprocessing.shared_memory unavailable: {_SHM_IMPORT_ERROR}"
-    try:
-        seg = _shm_mod.SharedMemory(create=True, size=16)
-    except Exception as exc:
-        return f"cannot create a shared-memory segment: {exc}"
-    try:
-        seg.close()
-        seg.unlink()
-    except Exception:
-        pass
-    return None
-
-
-@dataclass(frozen=True)
-class ArrayRef:
-    """Picklable handle to one arena array.
-
-    Either ``shm_name`` names a shared segment holding the array bytes,
-    ``path``/``offset`` locate the bytes in a file every worker can map
-    read-only (the out-of-core zero-copy path), or ``array`` carries the
-    ndarray directly (inline pools only — such refs must never cross a
-    process boundary).
-    """
-
-    shape: Tuple[int, ...]
-    dtype: str
-    shm_name: Optional[str] = None
-    array: Optional[np.ndarray] = None
-    path: Optional[str] = None
-    offset: int = 0
-
-
-def _memmap_root(array: np.ndarray) -> Optional[np.memmap]:
-    """The file-backed memmap an array views, if any (else None)."""
-    import mmap
-
-    a = array
-    while isinstance(a, np.ndarray):
-        if (isinstance(a, np.memmap)
-                and isinstance(getattr(a, "base", None), mmap.mmap)
-                and getattr(a, "filename", None)):
-            return a
-        a = a.base
-    return None
-
-
-def file_backed_ref(array: np.ndarray) -> Optional[ArrayRef]:
-    """A path/offset ref for a contiguous file-mapped view, else None.
-
-    Out-of-core morsels arrive as slices of raw-codec chunk mappings;
-    instead of copying their bytes into a fresh shared segment, workers
-    can map the chunk file directly — the page cache shares the physical
-    pages, so the morsel crosses the process boundary without a copy.
-    """
-    root = _memmap_root(array)
-    if root is None or root.mode not in ("r", "c"):
-        return None
-    if array.ndim != 1 or not array.flags["C_CONTIGUOUS"]:
-        return None
-    delta = (array.__array_interface__["data"][0]
-             - root.__array_interface__["data"][0])
-    if delta < 0:
-        return None
-    return ArrayRef(shape=tuple(array.shape), dtype=array.dtype.str,
-                    path=str(root.filename),
-                    offset=int(root.offset) + int(delta))
-
-
-class Attachment:
-    """Worker-side view of one :class:`ArrayRef` (close, never unlink)."""
-
-    def __init__(self, ref: ArrayRef):
-        self._seg = None
-        self._mapped: Optional[np.memmap] = None
-        if ref.array is not None:
-            self.array = ref.array
-            return
-        if ref.path is not None:
-            mapped = np.memmap(ref.path, dtype=np.dtype(ref.dtype),
-                               mode="r", offset=ref.offset, shape=ref.shape)
-            self.array = mapped
-            self._mapped = mapped
-            return
-        if _shm_mod is None:  # pragma: no cover - guarded by the probe
-            raise ExecutionError(
-                "worker cannot attach shared memory",
-                reason=str(_SHM_IMPORT_ERROR))
-        seg = _shm_mod.SharedMemory(name=ref.shm_name)
-        _untrack(seg)
-        self.array = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
-                                buffer=seg.buf)
-        self._seg = seg
-
-    def close(self) -> None:
-        self.array = None
-        if self._seg is not None:
-            self._seg.close()
-            self._seg = None
-        if self._mapped is not None:
-            mapped, self._mapped = self._mapped, None
-            try:
-                mapped._mmap.close()
-            except (BufferError, ValueError, AttributeError):
-                pass
-
-
-class attached:
-    """Context manager attaching several refs at once: yields the arrays."""
-
-    def __init__(self, *refs: ArrayRef):
-        self._refs = refs
-        self._attachments: List[Attachment] = []
-
-    def __enter__(self):
-        for ref in self._refs:
-            self._attachments.append(Attachment(ref))
-        return tuple(a.array for a in self._attachments)
-
-    def __exit__(self, *exc_info):
-        for a in self._attachments:
-            a.close()
-        self._attachments = []
-        return False
-
-
-def _untrack(seg) -> None:
-    """Stop the worker's resource tracker from also unlinking this segment.
-
-    Attaching registers the segment with the process-local resource
-    tracker on Python < 3.13; without this, worker exit would race the
-    driver's unlink and spam KeyError/FileNotFoundError warnings.
-    """
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - best effort, version dependent
-        pass
 
 
 class SharedArena:
-    """Driver-side segment collection with unlink-on-close lifetime."""
+    """Inputs and outputs of one parallel phase, shared without copies."""
 
-    def __init__(self, use_shm: bool = True):
-        self.use_shm = bool(use_shm)
-        self._segments: List[object] = []
+    def share(self, array: np.ndarray) -> np.ndarray:
+        """Expose an input array to the morsels (no copy)."""
+        return array
 
-    def share(self, array: np.ndarray) -> ArrayRef:
-        """Share an input array with the workers; returns its ref.
-
-        File-mapped inputs (out-of-core morsels under the raw codec)
-        ship as path/offset refs and never touch shared memory —
-        workers map the chunk file themselves and the kernel page cache
-        deduplicates the physical pages.  Everything else is copied
-        into a fresh segment.
-        """
-        array = np.ascontiguousarray(array)
-        if not self.use_shm:
-            return ArrayRef(shape=array.shape, dtype=array.dtype.str,
-                            array=array)
-        ref = file_backed_ref(array)
-        if ref is not None:
-            from repro.obs.trace import current_tracer
-            current_tracer().metrics.counter(
-                "store.zero_copy_shares").inc()
-            return ref
-        view, ref = self._allocate(array.shape, array.dtype)
-        view[...] = array
-        return ref
-
-    def empty(self, shape, dtype) -> Tuple[np.ndarray, ArrayRef]:
-        """Allocate an uninitialized output array; returns (view, ref).
-
-        The driver keeps the view to read results back after the workers
-        have filled their disjoint slices.
-        """
-        if not self.use_shm:
-            array = np.empty(shape, dtype=dtype)
-            return array, ArrayRef(shape=array.shape, dtype=array.dtype.str,
-                                   array=array)
-        return self._allocate(shape, np.dtype(dtype))
-
-    def output_like(self, array: np.ndarray) -> Tuple[np.ndarray, ArrayRef]:
-        """(view, ref) for filling a caller-owned output array.
-
-        Inline arenas return the array itself, so worker writes land
-        directly; shared arenas return a fresh segment the caller must
-        copy back into ``array`` after the workers finish.
-        """
-        if not self.use_shm:
-            return array, ArrayRef(shape=array.shape, dtype=array.dtype.str,
-                                   array=array)
-        return self._allocate(array.shape, array.dtype)
-
-    def _allocate(self, shape, dtype) -> Tuple[np.ndarray, ArrayRef]:
-        if _shm_mod is None:
-            raise ExecutionError(
-                "shared memory is unavailable; the parallel backend should "
-                "have fallen back to vector", reason=str(_SHM_IMPORT_ERROR))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        seg = _shm_mod.SharedMemory(create=True, size=max(nbytes, 1))
-        self._segments.append(seg)
-        view = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        ref = ArrayRef(shape=tuple(view.shape), dtype=dtype.str,
-                       shm_name=seg.name)
-        return view, ref
-
-    def close(self) -> None:
-        """Release every segment (close + unlink); views become invalid."""
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
+    def empty(self, shape, dtype) -> np.ndarray:
+        """Allocate an uninitialized output array the morsels fill."""
+        return np.empty(shape, dtype=dtype)

@@ -1,10 +1,11 @@
 """Worker-side compute kernels for the parallel backend.
 
-Each kernel is a pure function over arena-attached arrays: no fault
+Each kernel is a pure function over the pipeline's arrays: no fault
 scopes, no tracer, no counters.  All accounting (operation counters,
 simulated seconds, fault injection and recovery) stays in the driver,
 which is what keeps every backend's observable results bit-identical —
-a worker can die or be re-ordered without the cost model noticing.
+morsels can run in any order without the cost model noticing.  Kernels
+that write do so into a slice no other morsel of the phase touches.
 
 Every kernel mirrors one segment/morsel of the corresponding vector
 implementation exactly (same numpy expressions, same stable sorts), so
@@ -14,58 +15,48 @@ bit-for-bit.  The differential suite pins this down per algorithm.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.parallel.arena import ArrayRef, attached
 
-
-def worker_identity() -> int:
-    """The executing process id (pool diagnostics and tests)."""
-    return os.getpid()
-
-
-def partition_hist(ids: ArrayRef, a: int, b: int, fanout: int) -> np.ndarray:
+def partition_hist(ids: np.ndarray, a: int, b: int,
+                   fanout: int) -> np.ndarray:
     """First scan of one segment: the per-thread partition histogram."""
     if b <= a:
         return np.zeros(fanout, dtype=np.int64)
-    with attached(ids) as (ids_arr,):
-        return np.bincount(ids_arr[a:b], minlength=fanout)
+    return np.bincount(ids[a:b], minlength=fanout)
 
 
 def partition_scatter(
-    keys: ArrayRef, payloads: ArrayRef, hashes: ArrayRef, ids: ArrayRef,
-    keys_out: ArrayRef, pays_out: ArrayRef, hashes_out: ArrayRef,
-    a: int, b: int, base_row: np.ndarray, counts_row: np.ndarray,
+    keys: np.ndarray, payloads: np.ndarray, hashes: np.ndarray,
+    ids: np.ndarray, keys_out: np.ndarray, pays_out: np.ndarray,
+    hashes_out: np.ndarray, a: int, b: int, base_row: np.ndarray,
+    counts_row: np.ndarray,
 ) -> None:
     """Second scan of one segment: the contention-free fancy-index scatter.
 
     ``base_row``/``counts_row`` are this thread's rows of the prefix-sum
-    base matrix and histogram — small arrays shipped with the task, so the
-    destinations are disjoint across segments by construction.
+    base matrix and histogram, so the destinations are disjoint across
+    segments by construction.
     """
     if b <= a:
         return None
-    with attached(keys, payloads, hashes, ids,
-                  keys_out, pays_out, hashes_out) as (
-            k, p, h, i, ko, po, ho):
-        seg_ids = i[a:b]
-        order = np.argsort(seg_ids, kind="stable")
-        run_start = np.repeat(base_row, counts_row)
-        run_origin = np.repeat(np.cumsum(counts_row) - counts_row, counts_row)
-        dest = run_start + (np.arange(b - a) - run_origin)
-        ko[dest] = k[a:b][order]
-        po[dest] = p[a:b][order]
-        ho[dest] = h[a:b][order]
+    order = np.argsort(ids[a:b], kind="stable")
+    run_start = np.repeat(base_row, counts_row)
+    run_origin = np.repeat(np.cumsum(counts_row) - counts_row, counts_row)
+    dest = run_start + (np.arange(b - a) - run_origin)
+    keys_out[dest] = keys[a:b][order]
+    pays_out[dest] = payloads[a:b][order]
+    hashes_out[dest] = hashes[a:b][order]
     return None
 
 
 def refine_chunk(
-    keys: ArrayRef, payloads: ArrayRef, hashes: ArrayRef, ids: ArrayRef,
-    keys_out: ArrayRef, pays_out: ArrayRef, hashes_out: ArrayRef,
-    bounds: Sequence[Tuple[int, int]], sub_fanout: int,
+    keys: np.ndarray, payloads: np.ndarray, hashes: np.ndarray,
+    ids: np.ndarray, keys_out: np.ndarray, pays_out: np.ndarray,
+    hashes_out: np.ndarray, bounds: Sequence[Tuple[int, int]],
+    sub_fanout: int,
 ) -> np.ndarray:
     """Refine a chunk of parent partitions, one stable argsort each.
 
@@ -74,56 +65,60 @@ def refine_chunk(
     Returns the (len(bounds), sub_fanout) sub-size matrix.
     """
     sub_sizes = np.empty((len(bounds), sub_fanout), dtype=np.int64)
-    with attached(keys, payloads, hashes, ids,
-                  keys_out, pays_out, hashes_out) as (
-            k, p, h, i, ko, po, ho):
-        for j, (lo, hi) in enumerate(bounds):
-            pid = i[lo:hi]
-            order = np.argsort(pid, kind="stable")
-            ko[lo:hi] = k[lo:hi][order]
-            po[lo:hi] = p[lo:hi][order]
-            ho[lo:hi] = h[lo:hi][order]
-            sub_sizes[j] = np.bincount(pid, minlength=sub_fanout)
+    for j, (lo, hi) in enumerate(bounds):
+        pid = ids[lo:hi]
+        order = np.argsort(pid, kind="stable")
+        keys_out[lo:hi] = keys[lo:hi][order]
+        pays_out[lo:hi] = payloads[lo:hi][order]
+        hashes_out[lo:hi] = hashes[lo:hi][order]
+        sub_sizes[j] = np.bincount(pid, minlength=sub_fanout)
     return sub_sizes
 
 
 def chain_links(
-    buckets: ArrayRef, nxt: ArrayRef, a: int, b: int,
+    buckets: np.ndarray, nxt: np.ndarray, a: int, b: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local head-insertion chain links for build entries [a, b).
 
-    Writes the within-segment ``next`` links into the shared ``nxt`` array
-    (disjoint slice per segment; entries with no in-segment predecessor
-    keep the driver's -1 fill) and returns, per bucket present in the
-    segment, (bucket id, first entry index, last entry index) in segment
-    order — the compact summary the driver stitches across segments.
+    Writes the within-segment ``next`` links into ``nxt`` (disjoint slice
+    per segment; entries with no in-segment predecessor keep the caller's
+    -1 fill) and returns, per bucket present in the segment, (bucket id,
+    first entry index, last entry index) in segment order — the compact
+    summary the caller stitches across segments.
     """
     empty = np.empty(0, dtype=np.int64)
     if b <= a:
         return empty, empty, empty
-    with attached(buckets, nxt) as (bk, nx):
-        seg = bk[a:b]
-        order = np.argsort(seg, kind="stable")
-        sorted_b = seg[order]
-        m = b - a
-        if m > 1:
-            same = sorted_b[1:] == sorted_b[:-1]
-            nx[a + order[1:][same]] = a + order[:-1][same]
-        is_last = np.empty(m, dtype=bool)
-        is_last[:-1] = sorted_b[:-1] != sorted_b[1:]
-        is_last[-1] = True
-        is_first = np.empty(m, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = is_last[:-1]
-        uniq = sorted_b[is_first].astype(np.int64)
-        first_idx = (a + order[is_first]).astype(np.int64)
-        last_idx = (a + order[is_last]).astype(np.int64)
+    seg = buckets[a:b]
+    order = np.argsort(seg, kind="stable")
+    sorted_b = seg[order]
+    m = b - a
+    if m > 1:
+        same = sorted_b[1:] == sorted_b[:-1]
+        nxt[a + order[1:][same]] = a + order[:-1][same]
+    is_last = np.empty(m, dtype=bool)
+    is_last[:-1] = sorted_b[:-1] != sorted_b[1:]
+    is_last[-1] = True
+    is_first = np.empty(m, dtype=bool)
+    is_first[0] = True
+    is_first[1:] = is_last[:-1]
+    uniq = sorted_b[is_first].astype(np.int64)
+    first_idx = (a + order[is_first]).astype(np.int64)
+    last_idx = (a + order[is_last]).astype(np.int64)
     return uniq, first_idx, last_idx
 
 
+def _group_hits(group_keys: np.ndarray,
+                seg_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(group position, hit mask) of each key in a non-empty group index."""
+    pos = np.minimum(np.searchsorted(group_keys, seg_keys),
+                     group_keys.size - 1)
+    return pos, group_keys[pos] == seg_keys
+
+
 def match_stats(
-    r_uniq: ArrayRef, r_counts: ArrayRef, r_sums: ArrayRef,
-    s_keys: ArrayRef, s_payloads: ArrayRef, a: int, b: int,
+    r_uniq: np.ndarray, r_counts: np.ndarray, r_sums: np.ndarray,
+    s_keys: np.ndarray, s_payloads: np.ndarray, a: int, b: int,
 ) -> Tuple[int, int]:
     """Join (count, checksum mod 2**64) of one S morsel against the R index.
 
@@ -131,43 +126,31 @@ def match_stats(
     tuple equals the vector backend's per-key ``r_sums * s_sums`` products
     exactly, because multiplication distributes over addition mod 2**64.
     """
-    if b <= a:
+    if b <= a or r_uniq.size == 0:
         return 0, 0
-    with attached(r_uniq, r_counts, r_sums, s_keys, s_payloads) as (
-            ru, rc, rs, sk, sp):
-        seg_keys = sk[a:b]
-        if ru.size == 0:
-            return 0, 0
-        pos = np.searchsorted(ru, seg_keys)
-        pos = np.minimum(pos, ru.size - 1)
-        hit = ru[pos] == seg_keys
-        total = int(rc[pos][hit].sum())
-        checksum = int(np.sum(rs[pos][hit] * sp[a:b][hit].astype(np.uint64),
-                              dtype=np.uint64))
+    pos, hit = _group_hits(r_uniq, s_keys[a:b])
+    total = int(r_counts[pos][hit].sum())
+    checksum = int(np.sum(r_sums[pos][hit]
+                          * s_payloads[a:b][hit].astype(np.uint64),
+                          dtype=np.uint64))
     return total, checksum
 
 
 def expand_count(
-    group_keys: ArrayRef, group_count: ArrayRef, s_keys: ArrayRef,
+    group_keys: np.ndarray, group_count: np.ndarray, s_keys: np.ndarray,
     a: int, b: int,
 ) -> int:
     """Output pairs one S morsel will produce (round 1 of expansion)."""
-    if b <= a:
+    if b <= a or group_keys.size == 0:
         return 0
-    with attached(group_keys, group_count, s_keys) as (gk, gc, sk):
-        seg_keys = sk[a:b]
-        if gk.size == 0:
-            return 0
-        pos = np.searchsorted(gk, seg_keys)
-        pos = np.minimum(pos, gk.size - 1)
-        hit = gk[pos] == seg_keys
-        return int(gc[pos][hit].sum())
+    pos, hit = _group_hits(group_keys, s_keys[a:b])
+    return int(group_count[pos][hit].sum())
 
 
 def expand_write(
-    group_keys: ArrayRef, group_start: ArrayRef, group_count: ArrayRef,
-    r_pays_sorted: ArrayRef, s_keys: ArrayRef, s_payloads: ArrayRef,
-    out_r: ArrayRef, out_s: ArrayRef, a: int, b: int, offset: int,
+    group_keys: np.ndarray, group_start: np.ndarray, group_count: np.ndarray,
+    r_pays_sorted: np.ndarray, s_keys: np.ndarray, s_payloads: np.ndarray,
+    out_r: np.ndarray, out_s: np.ndarray, a: int, b: int, offset: int,
 ) -> None:
     """Write one S morsel's expanded pairs at its prefix-sum offset.
 
@@ -176,44 +159,17 @@ def expand_write(
     stable key-sorted payload array, so ``group_start + within`` walks R
     tuples of a key in insertion order).
     """
-    if b <= a:
+    if b <= a or group_keys.size == 0:
         return None
-    with attached(group_keys, group_start, group_count, r_pays_sorted,
-                  s_keys, s_payloads, out_r, out_s) as (
-            gk, gs, gc, rp, sk, sp, o_r, o_s):
-        seg_keys = sk[a:b]
-        if gk.size == 0:
-            return None
-        pos = np.searchsorted(gk, seg_keys)
-        pos = np.minimum(pos, gk.size - 1)
-        hit = gk[pos] == seg_keys
-        cnt_per_s = np.where(hit, gc[pos], 0)
-        total = int(cnt_per_s.sum())
-        if total == 0:
-            return None
-        s_rep = np.repeat(np.arange(a, b), cnt_per_s)
-        run_origin = np.repeat(np.cumsum(cnt_per_s) - cnt_per_s, cnt_per_s)
-        within = np.arange(total) - run_origin
-        r_idx = np.repeat(np.where(hit, gs[pos], 0), cnt_per_s) + within
-        o_r[offset:offset + total] = rp[r_idx]
-        o_s[offset:offset + total] = sp[s_rep]
+    pos, hit = _group_hits(group_keys, s_keys[a:b])
+    cnt_per_s = np.where(hit, group_count[pos], 0)
+    total = int(cnt_per_s.sum())
+    if total == 0:
+        return None
+    s_rep = np.repeat(np.arange(a, b), cnt_per_s)
+    run_origin = np.repeat(np.cumsum(cnt_per_s) - cnt_per_s, cnt_per_s)
+    within = np.arange(total) - run_origin
+    r_idx = np.repeat(np.where(hit, group_start[pos], 0), cnt_per_s) + within
+    out_r[offset:offset + total] = r_pays_sorted[r_idx]
+    out_s[offset:offset + total] = s_payloads[s_rep]
     return None
-
-
-#: Name -> callable registry; tasks name their kernel so only small,
-#: picklable payloads ever cross the queue.
-KERNELS: Dict[str, object] = {
-    "worker_identity": worker_identity,
-    "partition_hist": partition_hist,
-    "partition_scatter": partition_scatter,
-    "refine_chunk": refine_chunk,
-    "chain_links": chain_links,
-    "match_stats": match_stats,
-    "expand_count": expand_count,
-    "expand_write": expand_write,
-}
-
-
-def run_kernel(name: str, kwargs: Dict) -> object:
-    """Execute one named kernel (the worker main loop's dispatch)."""
-    return KERNELS[name](**kwargs)

@@ -4,8 +4,8 @@ The plan layer chooses the (algorithm, backend, workers) execution point
 for a join instead of making the caller pick: it sketches the input with
 the CSH detector's sampling machinery, prices every candidate through
 the calibrated analytic cost models, applies the operational constraints
-(backend availability, memory budget, deadline), executes the argmin,
-and learns per-(algorithm, phase, backend) wall-time corrections from
+(memory budget, deadline), executes the argmin, and learns
+per-(algorithm, phase, backend) wall-time corrections from
 every planned run's trace.  Planning never changes answers — a planned
 run is bit-identical to the same configuration forced by hand.
 

@@ -1,10 +1,9 @@
 """Candidate enumeration and constraint handling for the planner.
 
 A candidate is one (algorithm, backend, workers) execution point.  The
-planner enumerates every point the host can actually run — the parallel
-backend only where shared memory works, worker counts up the power-of-two
-ladder to the configured pool size — then filters by the operational
-constraints the rest of the system already defines:
+planner enumerates every point — parallel worker counts up the
+power-of-two ladder to the configured pool size — then filters by the
+operational constraints the rest of the system already defines:
 
 * **memory budget** (``REPRO_MEMORY_BUDGET`` / the spill plane): an input
   whose partitioned form exceeds the budget is only feasible on the
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.exec.backend import BACKENDS, PARALLEL, parallel_status
+from repro.exec.backend import BACKENDS, PARALLEL
 
 #: Spill-capable algorithms (the ones that can honor a memory budget).
 from repro.faults.plan import SPILL_ALGORITHM_NAMES
@@ -48,7 +47,7 @@ class Constraints:
 
     #: Algorithms to consider (None = every registered algorithm).
     algorithms: Optional[Sequence[str]] = None
-    #: Backends to consider (None = all usable on this host).
+    #: Backends to consider (None = all).
     backends: Optional[Sequence[str]] = None
     #: Upper bound on the parallel worker ladder (None = the configured
     #: pool size, i.e. ``REPRO_WORKERS`` or the core count).
@@ -99,7 +98,7 @@ def worker_ladder(max_workers: Optional[int] = None) -> Tuple[int, ...]:
 def enumerate_candidates(
     constraints: Optional[Constraints] = None,
 ) -> List[CandidatePoint]:
-    """Every execution point the host can run under the constraints.
+    """Every execution point allowed by the constraints.
 
     Deterministic order: algorithms sorted, backends in registry order,
     workers ascending — ties in predicted cost resolve reproducibly.
@@ -111,15 +110,12 @@ def enumerate_candidates(
                   else list(constraints.algorithms))
     wanted = (tuple(constraints.backends) if constraints.backends
               else BACKENDS)
-    usable_parallel, _reason = parallel_status()
     points: List[CandidatePoint] = []
     for algorithm in algorithms:
         for backend in BACKENDS:
             if backend not in wanted:
                 continue
             if backend == PARALLEL:
-                if not usable_parallel:
-                    continue
                 for workers in worker_ladder(constraints.max_workers):
                     points.append(CandidatePoint(algorithm, backend, workers))
             else:

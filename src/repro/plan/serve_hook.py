@@ -7,7 +7,7 @@ pool, and the deadline/admission constraints are enforced by the engine
 itself — so :class:`ServeProbePlanner` is a small, per-request
 specialization of the batch planner: price the request's ``build`` (cold
 keys only) and ``probe`` phases through the npj analytic model, pick the
-cheapest usable backend, and learn serve-specific corrections (keyed
+cheapest allowed backend, and learn serve-specific corrections (keyed
 ``("serve", phase, backend)``) from every answered request.
 
 The decision is stamped into ``result.meta["plan"]`` in the same shape
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.analytic import ANALYTIC_EXECUTORS
 from repro.data.relation import JoinInput, Relation
-from repro.exec.backend import BACKENDS, PARALLEL, parallel_status
+from repro.exec.backend import BACKENDS
 from repro.plan.corrections import CorrectionStore, corrections_path_from_env
 from repro.plan.predict import base_wall_factor
 from repro.plan.sketch import (
@@ -92,15 +92,8 @@ class ServeProbePlanner:
         self.observed = 0
 
     def _usable_backends(self) -> List[str]:
-        usable_parallel, _ = parallel_status()
-        out = []
-        for backend in BACKENDS:
-            if self.backends is not None and backend not in self.backends:
-                continue
-            if backend == PARALLEL and not usable_parallel:
-                continue
-            out.append(backend)
-        return out
+        return [backend for backend in BACKENDS
+                if self.backends is None or backend in self.backends]
 
     def plan_probe(self, build_rel: Relation, probe_rel: Relation,
                    cold: bool) -> ProbeDecision:

@@ -64,12 +64,6 @@ class Batch:
             raise ConfigError("mask length mismatch")
         return Batch({name: col[mask] for name, col in self.columns.items()})
 
-    def with_column(self, name: str, values: np.ndarray) -> "Batch":
-        """A batch with one column added or replaced."""
-        out = dict(self.columns)
-        out[name] = np.asarray(values)
-        return Batch(out)
-
     def rename(self, mapping: Dict[str, str]) -> "Batch":
         """A batch with columns renamed per the mapping."""
         return Batch({mapping.get(name, name): col

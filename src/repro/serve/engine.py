@@ -527,25 +527,18 @@ class ServeEngine:
     def health(self) -> Dict[str, object]:
         """Liveness snapshot (the ``health`` op's payload).
 
-        Flat ``serve.health.*`` metrics plus a per-circuit detail map.
-        The worker-liveness probe is *active*: it reaps and respawns dead
-        workers (within budget) before reporting, so a health check is
-        itself a self-healing event — the chaos harness leans on this to
-        assert "all workers live" after a kill sweep.
+        Flat ``serve.health.*`` metrics plus a per-circuit detail map;
+        ``workers`` is the size of the parallel backend's thread pool
+        (0 until a parallel phase has built it).
         """
-        from repro.exec.parallel.pool import current_liveness
+        from repro.exec.parallel.pool import current_pool
 
         cache_info = self.cache.info()
         admission_info = self.admission.info()
-        liveness = current_liveness(heal=True) or {
-            "workers": 0, "alive": 0, "processes": False,
-            "respawns": 0, "max_respawns": 0, "exhausted": False,
-        }
+        pool = current_pool()
+        workers = pool.n_workers if pool is not None else 0
         circuits = self.cache.circuits()
-        ok = ((liveness["alive"] >= liveness["workers"]
-               or not liveness["processes"])
-              and not liveness["exhausted"]
-              and not cache_info["open_circuits"])
+        ok = not cache_info["open_circuits"]
         metrics = {
             "serve.health.cache_entries": cache_info["entries"],
             "serve.health.cache_max_entries": cache_info["max_entries"],
@@ -553,10 +546,7 @@ class ServeEngine:
             "serve.health.circuit_shed": cache_info["circuit_shed"],
             "serve.health.inflight": admission_info["inflight"],
             "serve.health.queued": admission_info["queued"],
-            "serve.health.workers": liveness["workers"],
-            "serve.health.workers_alive": liveness["alive"],
-            "serve.health.worker_respawns": liveness["respawns"],
-            "serve.health.pool_exhausted": int(liveness["exhausted"]),
+            "serve.health.workers": workers,
             "serve.health.requests": self.requests,
             "serve.health.completed": self.completed,
             "serve.health.failed": self.failed,
@@ -567,5 +557,5 @@ class ServeEngine:
             "ok": bool(ok),
             "metrics": metrics,
             "circuits": circuits,
-            "workers": liveness,
+            "workers": workers,
         }

@@ -18,7 +18,7 @@ Requests::
 A probe may carry ``"deadline_ms"``: a positive wall-clock budget for
 the whole request; expiry surfaces as a typed ``DeadlineExceeded`` error
 with partial-progress counters.  ``health`` reports cache occupancy,
-circuit-breaker states, worker liveness and admission depth as flat
+circuit-breaker states, pool size and admission depth as flat
 ``serve.health.*`` metrics.
 
 Responses: ``registered``, ``chunk`` (one streamed probe morsel),

@@ -51,6 +51,12 @@ DEFAULT_DRAIN_SECONDS = 5.0
 #: Seconds between "tokens cancelled" and hard ``task.cancel()``.
 _FORCE_CANCEL_GRACE_SECONDS = 1.0
 
+#: Longest request line the reader accepts (asyncio's default limit).
+_LINE_LIMIT = 1 << 16
+
+#: Seconds an oversized-line connection waits for the client to hang up.
+_HANG_UP_GRACE_SECONDS = 1.0
+
 
 class ServeServer:
     """One daemon instance wrapping a :class:`ServeEngine`."""
@@ -86,7 +92,8 @@ class ServeServer:
     async def start(self) -> "ServeServer":
         """Bind the socket; ``self.port`` holds the real port afterwards."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port)
+            self._handle_connection, host=self.host, port=self.port,
+            limit=_LINE_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -151,7 +158,11 @@ class ServeServer:
         lock = asyncio.Lock()
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran _LINE_LIMIT
+                    await self._reject_oversized_line(reader, writer, lock)
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -167,6 +178,31 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _reject_oversized_line(self, reader: asyncio.StreamReader,
+                                     writer: asyncio.StreamWriter,
+                                     lock: asyncio.Lock) -> None:
+        """Answer an over-long request line with a typed error, then hang up.
+
+        The error line goes out and the write side is shut; the rest of
+        the client's input is read and dropped until it hangs up too (or
+        a short grace ends), so closing never resets the connection
+        under a reply the client has not read yet.
+        """
+        await self._send(writer, lock, error_response(ProtocolError(
+            f"request line exceeds the {_LINE_LIMIT}-byte limit",
+            limit=_LINE_LIMIT)))
+
+        async def discard_until_eof() -> None:
+            while await reader.read(_LINE_LIMIT):
+                pass
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(discard_until_eof(),
+                                   _HANG_UP_GRACE_SECONDS)
+        except (asyncio.TimeoutError, OSError):
+            pass
 
     async def _handle_line(self, line: bytes, writer: asyncio.StreamWriter,
                            lock: asyncio.Lock) -> bool:

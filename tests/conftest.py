@@ -48,7 +48,7 @@ def parallel_pool_env(monkeypatch):
     """Pin a deterministic two-worker pool and force morsel engagement.
 
     CI pins ``REPRO_WORKERS`` the same way, so pool-path tests exercise a
-    real process pool regardless of the host's core count; the engagement
+    real thread pool regardless of the host's core count; the engagement
     threshold drops to zero so the small test inputs reach the kernels.
     The process-wide pool is torn down afterwards so other tests see the
     ambient environment again.

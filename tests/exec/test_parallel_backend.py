@@ -1,16 +1,25 @@
-"""Units for the parallel backend: arenas, pool, gating, and fallback."""
+"""Units for the parallel backend: arena, thread pool, gating, kernels."""
 
-import warnings
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import make_join
+from repro.cpu.chained_table import ChainedHashTable
+from repro.cpu.partition import _scatter, partition_pass, refine_pass
+from repro.cpu.segments import split_segments
 from repro.data.zipf import ZipfWorkload
-from repro.errors import ConfigError, ExecutionError
-from repro.exec import backend as backend_mod
-from repro.exec.backend import PARALLEL, VECTOR, dispatch, use_backend
+from repro.errors import ConfigError, DeadlineExceeded, ExecutionError
+from repro.exec.backend import PARALLEL, VECTOR, use_backend
+from repro.exec.cancel import Deadline, cancel_scope
 from repro.exec.differential import compare_results
+from repro.exec.matching import expand_pairs, match_group_stats
 from repro.exec.parallel import (
     DEFAULT_MIN_PARALLEL_TUPLES,
     MIN_TUPLES_ENV,
@@ -18,91 +27,22 @@ from repro.exec.parallel import (
     SharedArena,
     WorkerPool,
     morsel_pool,
-    shared_memory_probe,
     shutdown_pool,
 )
 from repro.exec.parallel import pool as pool_mod
-from repro.exec.parallel.arena import Attachment, attached, file_backed_ref
-from repro.exec.parallel.kernels import KERNELS, run_kernel
-from repro.obs import tracing
+from repro.exec.parallel.kernels import partition_hist
 
-_SHM_REASON = shared_memory_probe()
-needs_shm = pytest.mark.skipif(
-    _SHM_REASON is not None,
-    reason=f"shared memory unusable here: {_SHM_REASON}")
+ROOT = Path(__file__).resolve().parents[2]
 
 
 # ---------------------------------------------------------------- arena
 
-def test_shared_memory_probe_returns_none_or_reason():
-    assert _SHM_REASON is None or isinstance(_SHM_REASON, str)
-
-
 def test_inline_arena_carries_arrays_directly():
-    with SharedArena(use_shm=False) as arena:
-        data = np.arange(10, dtype=np.uint32)
-        ref = arena.share(data)
-        assert ref.shm_name is None
-        assert np.array_equal(ref.array, data)
-        out, out_ref = arena.output_like(data)
-        assert out is data  # worker writes land in the caller's array
-        view, empty_ref = arena.empty(4, np.int64)
-        assert view.shape == (4,) and empty_ref.array is view
-
-
-@needs_shm
-def test_shm_arena_round_trips_through_attachment():
-    data = np.arange(100, dtype=np.uint32)
-    with SharedArena(use_shm=True) as arena:
-        ref = arena.share(data)
-        assert ref.shm_name is not None and ref.array is None
-        with attached(ref) as (arr,):
-            assert np.array_equal(arr, data)
-            arr[0] = 999  # attached views alias the driver's segment
-        view, out_ref = arena.empty(3, np.uint64)
-        view[:] = (1, 2, 3)
-        with attached(out_ref) as (out,):
-            assert out.tolist() == [1, 2, 3]
-
-
-@needs_shm
-def test_shm_arena_handles_zero_size_arrays():
-    with SharedArena(use_shm=True) as arena:
-        ref = arena.share(np.empty(0, dtype=np.uint32))
-        with attached(ref) as (arr,):
-            assert arr.size == 0
-
-
-def test_file_backed_ref_covers_read_only_memmap_slices(tmp_path):
-    data = np.arange(64, dtype=np.uint32)
-    path = tmp_path / "chunk.bin"
-    data.tofile(path)
-    mapped = np.memmap(path, dtype=np.uint32, mode="r")
-    morsel = mapped[3:9]
-    ref = file_backed_ref(morsel)
-    assert ref is not None
-    assert ref.path == str(path)
-    assert ref.offset == 3 * 4  # slice start, in bytes
-    assert ref.shape == (6,) and ref.shm_name is None and ref.array is None
-    # Everything that can't be shipped as a path ref declines to None:
-    # plain arrays, writable mappings, and non-contiguous views.
-    assert file_backed_ref(np.arange(8, dtype=np.uint32)) is None
-    writable = np.memmap(path, dtype=np.uint32, mode="r+")
-    assert file_backed_ref(writable) is None
-    assert file_backed_ref(mapped[::2]) is None
-
-
-def test_attachment_maps_path_refs_and_closes(tmp_path):
-    data = np.arange(32, dtype=np.uint64)
-    path = tmp_path / "chunk.bin"
-    data.tofile(path)
-    mapped = np.memmap(path, dtype=np.uint64, mode="r")
-    ref = file_backed_ref(mapped[10:20])
-    attachment = Attachment(ref)
-    assert np.array_equal(attachment.array, data[10:20])
-    attachment.close()
-    assert attachment.array is None
-    attachment.close()  # idempotent
+    arena = SharedArena()
+    data = np.arange(10, dtype=np.uint32)
+    assert arena.share(data) is data  # morsels read the caller's array
+    out = arena.empty(4, np.int64)
+    assert out.shape == (4,) and out.dtype == np.int64
 
 
 def test_shared_arena_ships_file_mapped_morsels_zero_copy(tmp_path):
@@ -110,63 +50,89 @@ def test_shared_arena_ships_file_mapped_morsels_zero_copy(tmp_path):
     path = tmp_path / "chunk.bin"
     data.tofile(path)
     mapped = np.memmap(path, dtype=np.uint32, mode="r")
-    # No segment is ever allocated on this path, so the test runs even
-    # where POSIX shared memory does not.
-    with tracing("arena") as tracer, SharedArena(use_shm=True) as arena:
-        ref = arena.share(mapped[16:48])
-        assert ref.path == str(path) and ref.shm_name is None
-        with attached(ref) as (arr,):
-            assert np.array_equal(arr, data[16:48])
-    metrics = tracer.record().metrics
-    assert metrics["store.zero_copy_shares"]["value"] == 1
+    morsel = mapped[16:48]
+    shared = SharedArena().share(morsel)
+    assert shared is morsel and np.shares_memory(shared, mapped)
+    assert np.array_equal(shared, data[16:48])
 
 
 # ----------------------------------------------------------------- pool
 
+def _tagged(i, delay=0.0):
+    """A kernel that sleeps, then reports its task and thread."""
+    time.sleep(delay)
+    return i, threading.get_ident()
+
+
 def test_inline_pool_runs_kernels_in_process():
     pool = WorkerPool(1)
-    assert not pool.uses_processes
-    with SharedArena(use_shm=False) as arena:
-        ids = arena.share(np.array([0, 1, 1, 2, 2, 2], dtype=np.int64))
-        [hist] = pool.run("partition_hist",
-                          [{"ids": ids, "a": 0, "b": 6, "fanout": 4}])
+    ids = np.array([0, 1, 1, 2, 2, 2], dtype=np.int64)
+    [hist] = pool.run(partition_hist, [{"ids": ids, "a": 0, "b": 6,
+                                        "fanout": 4}])
     assert hist.tolist() == [1, 2, 3, 0]
+    results = pool.run(_tagged, [{"i": 0}, {"i": 1}])
+    assert {tid for _i, tid in results} == {threading.get_ident()}
     pool.shutdown()  # no-op for inline pools
 
 
-@needs_shm
-def test_process_pool_returns_results_in_task_order():
+def test_thread_pool_returns_results_in_task_order():
     pool = WorkerPool(2)
     try:
-        assert pool.uses_processes
-        with SharedArena(use_shm=True) as arena:
-            ids = arena.share(np.arange(8, dtype=np.int64) % 4)
-            specs = [{"ids": ids, "a": a, "b": a + 4, "fanout": 4}
-                     for a in (0, 4)]
-            results = pool.run("partition_hist", specs)
-        assert [r.tolist() for r in results] == [[1, 1, 1, 1], [1, 1, 1, 1]]
-        pids = set(pool.run("worker_identity", [{}, {}, {}, {}]))
-        assert pids  # real child processes answered
+        # Early tasks sleep longest, so they complete last.
+        specs = [{"i": i, "delay": 0.02 * (4 - i)} for i in range(5)]
+        results = pool.run(_tagged, specs)
+        assert [i for i, _tid in results] == list(range(5))
+        assert threading.get_ident() not in {tid for _i, tid in results}
     finally:
         pool.shutdown()
 
 
-@needs_shm
+def _boom(i):
+    if i == 2:
+        raise ValueError("bad morsel")
+    return i
+
+
 def test_worker_failure_raises_typed_execution_error():
+    for n_workers in (1, 2):  # inline and threaded
+        pool = WorkerPool(n_workers)
+        try:
+            with pytest.raises(ExecutionError) as excinfo:
+                pool.run(_boom, [{"i": i} for i in range(4)])
+            assert "_boom" in str(excinfo.value)
+            assert "ValueError: bad morsel" in str(excinfo.value)
+            assert excinfo.value.context["task_id"] == 2
+            assert pool.run(_boom, [{"i": 0}]) == [0]  # still serves
+        finally:
+            pool.shutdown()
+
+
+def test_deadline_raises_only_after_in_flight_morsels_finish():
+    started, finished = set(), set()
+    lock = threading.Lock()
+
+    def slow(i):
+        with lock:
+            started.add(i)
+        time.sleep(0.2)
+        with lock:
+            finished.add(i)
+        return i
+
     pool = WorkerPool(2)
     try:
-        with pytest.raises(ExecutionError) as excinfo:
-            pool.run("no-such-kernel", [{}])
-        assert "no-such-kernel" in str(excinfo.value)
+        with cancel_scope(deadline=Deadline(50.0)):
+            with pytest.raises(DeadlineExceeded):
+                pool.run(slow, [{"i": i} for i in range(8)])
+        with lock:
+            # Nothing is still running once run() has raised, and the
+            # morsels that had not started were cancelled.
+            assert started == finished
+            assert 0 < len(started) < 8
+        time.sleep(0.3)
+        assert len(finished) == len(started)
     finally:
         pool.shutdown()
-
-
-def test_run_kernel_dispatches_registry():
-    assert set(KERNELS) >= {"partition_hist", "partition_scatter",
-                            "refine_chunk", "chain_links", "match_stats",
-                            "expand_count", "expand_write"}
-    assert isinstance(run_kernel("worker_identity", {}), int)
 
 
 def test_worker_count_env_validation(monkeypatch):
@@ -196,14 +162,15 @@ def test_get_pool_rebuilds_when_worker_count_changes(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "1")
     try:
         first = pool_mod.get_pool()
-        assert first.n_workers == 1 and not first.uses_processes
+        assert first.n_workers == 1
         assert pool_mod.get_pool() is first  # cached while env is stable
-        if _SHM_REASON is None:
-            monkeypatch.setenv(WORKERS_ENV, "2")
-            second = pool_mod.get_pool()
-            assert second is not first and second.n_workers == 2
+        assert pool_mod.current_pool() is first
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        second = pool_mod.get_pool()
+        assert second is not first and second.n_workers == 2
     finally:
         shutdown_pool()
+    assert pool_mod.current_pool() is None
 
 
 # --------------------------------------------------------------- gating
@@ -220,66 +187,81 @@ def test_morsel_pool_respects_min_tuples(monkeypatch):
     try:
         with use_backend(PARALLEL):
             assert morsel_pool(999) is None
-            if _SHM_REASON is None:
-                assert morsel_pool(1000) is not None
+            assert morsel_pool(1000) is not None
     finally:
         shutdown_pool()
 
 
-# ------------------------------------------------------------- fallback
+# ------------------------------------------------------------- kernels
 
-@pytest.fixture
-def unavailable_parallel(monkeypatch):
-    """Pretend the host cannot do shared memory; reset the warn latch."""
-    monkeypatch.setattr(pool_mod, "_availability",
-                        (False, "unit-test: no shared memory"))
-    monkeypatch.setattr(backend_mod, "_warned_fallback", False)
-
-
-def test_require_parallel_raises_typed_config_error(unavailable_parallel):
-    with pytest.raises(ConfigError) as excinfo:
-        backend_mod.require_parallel()
-    message = str(excinfo.value)
-    assert "REPRO_BACKEND=vector" in message
-    assert excinfo.value.context["backend"] == PARALLEL
+def _both_backends(fn):
+    """fn() under vector and under parallel (2 threads, every phase)."""
+    out = {}
+    for backend in (VECTOR, PARALLEL):
+        with use_backend(backend):
+            out[backend] = fn()
+    return out[VECTOR], out[PARALLEL]
 
 
-def test_dispatch_degrades_to_vector_with_one_warning(unavailable_parallel):
-    def scalar():
-        return "scalar"
-
-    def vector():
-        return "vector"
-
-    def parallel():
-        return "parallel"
-
-    with use_backend(PARALLEL):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert dispatch(scalar, vector, parallel) is vector
-            assert dispatch(scalar, vector, parallel) is vector
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1  # warn once per process, not per call
-        assert "falling back" in str(runtime[0].message)
+def _assert_same_arrays(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
-def test_morsel_pool_gates_off_when_unavailable(unavailable_parallel,
-                                                monkeypatch):
-    monkeypatch.setenv(MIN_TUPLES_ENV, "0")
-    with use_backend(PARALLEL):
-        assert morsel_pool(1 << 20) is None
+def test_every_kernel_matches_vector_with_two_threads(parallel_pool_env,
+                                                      monkeypatch):
+    ran = []
+    real_run = WorkerPool.run
+
+    def recording_run(self, kernel, task_specs):
+        ran.append(kernel.__name__)
+        assert self.n_workers == 2
+        return real_run(self, kernel, task_specs)
+
+    monkeypatch.setattr(WorkerPool, "run", recording_run)
+    join_input = ZipfWorkload(6000, 5000, theta=1.0, seed=9).generate()
+    r, s = join_input.r, join_input.s
+    hashes = (r.keys * np.uint32(2654435761)).astype(np.uint32)
+    part_ids = (hashes & np.uint32(15)).astype(np.int64)
+    segments = split_segments(r.keys.size, 5)
+
+    # partition_hist + partition_scatter
+    vec, par = _both_backends(lambda: _scatter(
+        r.keys, r.payloads, hashes, part_ids, 16, segments))
+    _assert_same_arrays(vec, par)
+
+    # refine_chunk
+    def refine():
+        parent = partition_pass(r.keys, r.payloads, hashes, 0, 3, 4)
+        out = refine_pass(parent.partitioned, 3, 2).partitioned
+        return out.keys, out.payloads, out.hashes, out.offsets
+    vec, par = _both_backends(refine)
+    _assert_same_arrays(vec, par)
+
+    # chain_links
+    def build():
+        table = ChainedHashTable(1024)
+        table.build(r.keys, r.payloads)
+        return table.next, table.heads
+    vec, par = _both_backends(build)
+    _assert_same_arrays(vec, par)
+
+    # match_stats
+    vec, par = _both_backends(lambda: match_group_stats(
+        r.keys, r.payloads, s.keys, s.payloads))
+    assert vec == par and vec[0] > 0
+
+    # expand_count + expand_write
+    vec, par = _both_backends(lambda: expand_pairs(
+        r.keys[:800], r.payloads[:800], s.keys[:800], s.payloads[:800]))
+    _assert_same_arrays(vec, par)
+    assert vec[0].size > 0
+    assert set(ran) == {"partition_hist", "partition_scatter",
+                        "refine_chunk", "chain_links", "match_stats",
+                        "expand_count", "expand_write"}
 
 
-def test_require_parallel_passes_when_available(monkeypatch):
-    if _SHM_REASON is not None:
-        pytest.skip(f"shared memory unusable here: {_SHM_REASON}")
-    backend_mod.require_parallel()  # must not raise
-
-
-# ---------------------------------------------------- end-to-end checks
-
-@needs_shm
 def test_parallel_join_matches_vector_with_real_pool(parallel_pool_env):
     join_input = ZipfWorkload(4096, 4096, theta=1.0, seed=3).generate()
     results = {}
@@ -290,130 +272,31 @@ def test_parallel_join_matches_vector_with_real_pool(parallel_pool_env):
     assert results[PARALLEL].meta["backend"] == PARALLEL
 
 
-# ------------------------------------------------------------- healing
-
-def test_respawn_budget_env_validation(monkeypatch):
-    from repro.exec.parallel import DEFAULT_MAX_RESPAWNS, RESPAWNS_ENV
-
-    monkeypatch.delenv(RESPAWNS_ENV, raising=False)
-    assert pool_mod.respawn_budget() == DEFAULT_MAX_RESPAWNS
-    monkeypatch.setenv(RESPAWNS_ENV, "0")
-    assert pool_mod.respawn_budget() == 0
-    monkeypatch.setenv(RESPAWNS_ENV, "-1")
-    with pytest.raises(ConfigError):
-        pool_mod.respawn_budget()
-    monkeypatch.setenv(RESPAWNS_ENV, "many")
-    with pytest.raises(ConfigError):
-        pool_mod.respawn_budget()
-
-
-def test_liveness_snapshot_and_inline_kill():
-    import os
-
-    pool = WorkerPool(1)
-    assert pool.liveness() == {
-        "workers": 1, "alive": 1, "processes": False,
-        "respawns": 0, "max_respawns": pool.max_respawns,
-        "exhausted": False,
-    }
-    assert pool.kill_worker(0) is None  # inline pools have no processes
-    assert pool.heal() == 0
-    assert os.getpid()  # inline liveness never touches other processes
-
-
-def test_current_liveness_is_none_without_a_pool():
-    shutdown_pool()
-    assert pool_mod.current_liveness() is None
-    assert pool_mod.current_liveness(heal=True) is None
-
-
-@needs_shm
-def test_heal_respawns_a_killed_worker():
-    pool = WorkerPool(2, max_respawns=3)
-    pool.poll_seconds = 0.05
+def test_disjoint_morsel_writes_survive_thread_stress(monkeypatch):
+    """More threads than cores and a tiny switch interval: every morsel
+    still lands in its own slice, so joins stay bit-identical."""
+    monkeypatch.setenv(WORKERS_ENV, "8")
+    monkeypatch.setenv(MIN_TUPLES_ENV, "0")
+    join_input = ZipfWorkload(20000, 20000, theta=1.0, seed=17).generate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        pid = pool.kill_worker(0)
-        assert pid is not None
-        assert pool.alive_workers() == 1
-        assert pool.heal() == 1
-        assert pool.alive_workers() == 2
-        assert pool.respawns == 1 and not pool.exhausted
-        # The healed pool still computes.
-        pids = pool.run("worker_identity", [{}, {}])
-        assert all(isinstance(p, int) for p in pids)
-        assert pool.kill_worker(99) is None  # out-of-range is a no-op
+        for algorithm in ("cbase", "cbase-npj"):
+            vec, par = _both_backends(
+                lambda: make_join(algorithm).run(join_input))
+            assert compare_results(vec, par) == []
     finally:
-        pool.shutdown()
+        sys.setswitchinterval(interval)
+        shutdown_pool()
 
 
-@needs_shm
-def test_dead_workers_mid_run_heal_and_reenqueue_exactly_once():
-    import os
-
-    pool = WorkerPool(2, max_respawns=2)
-    pool.poll_seconds = 0.05
-    try:
-        assert pool.kill_worker(0) is not None
-        assert pool.kill_worker(1) is not None
-        # Every morsel the dead workers would have taken is re-enqueued
-        # (dedup by task id) and computed by the respawned workers.
-        pids = pool.run("worker_identity", [{}, {}, {}, {}])
-        assert len(pids) == 4
-        assert all(isinstance(p, int) and p != os.getpid() for p in pids)
-        assert pool.respawns == 2
-        assert not pool.exhausted
-        assert pool.alive_workers() == 2
-    finally:
-        pool.shutdown()
-
-
-@needs_shm
-def test_exhausted_pool_finishes_morsels_inline():
-    import os
-
-    pool = WorkerPool(2, max_respawns=0)
-    pool.poll_seconds = 0.05
-    try:
-        assert pool.kill_worker(0) is not None
-        assert pool.kill_worker(1) is not None
-        # No respawn budget: the run still answers, computed inline.
-        pids = pool.run("worker_identity", [{}, {}, {}])
-        assert pids == [os.getpid()] * 3
-        assert pool.exhausted
-        assert pool.alive_workers() == 0
-        assert pool.liveness()["exhausted"] is True
-    finally:
-        pool.shutdown()
-
-
-@needs_shm
-def test_morsel_pool_warns_once_and_degrades_when_exhausted(
-        parallel_pool_env):
-    from repro.exec.parallel import reset_exhaustion_warning
-
-    reset_exhaustion_warning()
-    try:
-        with use_backend(PARALLEL):
-            pool = pool_mod.get_pool()
-            pool.exhausted = True
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert morsel_pool(1 << 20) is None
-                assert morsel_pool(1 << 20) is None
-        runtime = [w for w in caught
-                   if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1  # warn once, then degrade silently
-        assert "respawn budget" in str(runtime[0].message)
-    finally:
-        reset_exhaustion_warning()
-
-
-@needs_shm
-def test_current_liveness_heals_killed_workers(parallel_pool_env):
-    pool = pool_mod.get_pool()
-    pool.poll_seconds = 0.05
-    assert pool.kill_worker(0) is not None
-    live = pool_mod.current_liveness(heal=True)
-    assert live["alive"] == 2
-    assert live["respawns"] == 1
-    assert live["exhausted"] is False
+def test_parallel_diff_writes_nothing_to_stderr():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(ROOT / "src"), REPRO_WORKERS="2",
+               REPRO_PARALLEL_MIN_TUPLES="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "diff", "--tuples", "4096"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "bit-identical" in proc.stdout
+    assert proc.stderr.splitlines() == []

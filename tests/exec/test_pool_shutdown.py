@@ -1,8 +1,8 @@
 """WorkerPool.shutdown() must be safe whatever state the pool is in.
 
-The serve daemon and atexit both call shutdown on whatever pool object
-exists at that moment — including one whose ``__init__`` never finished
-(ConfigError mid-construction), one built inline (no processes), or one
+Benchmarks and tests call shutdown on whatever pool object exists at
+that moment — including one whose ``__init__`` never finished
+(ConfigError mid-construction), one built inline (no threads), or one
 already shut down.  None of those may raise.
 """
 
@@ -16,35 +16,34 @@ def test_shutdown_on_never_started_pool_is_a_noop():
     # all — the state shutdown sees when __init__ raised early.
     pool = WorkerPool.__new__(WorkerPool)
     pool.shutdown()  # must not raise
-    assert pool._procs == []
-    assert pool._tasks is None
-    assert pool._results is None
+    assert pool._executor is None
 
 
 def test_shutdown_tolerates_half_built_attributes():
     pool = WorkerPool.__new__(WorkerPool)
-    pool._procs = []
-    pool._tasks = None
-    # _results intentionally missing entirely
+    pool.n_workers = 2
+    # _executor intentionally missing entirely
     pool.shutdown()
     pool.shutdown()  # and again
 
 
 def test_inline_pool_shutdown_is_idempotent():
     pool = WorkerPool(1)
-    assert not pool.uses_processes
     pool.shutdown()
     pool.shutdown()
-    assert pool._procs == []
+    assert pool._executor is None
 
 
-def test_process_pool_double_shutdown(parallel_pool_env):
+def _double(x):
+    return 2 * x
+
+
+def test_thread_pool_double_shutdown():
     pool = WorkerPool(2)
-    try:
-        assert pool.uses_processes
-        assert pool.alive_workers() == 2
-    finally:
-        pool.shutdown()
-    assert pool._procs == [] and not pool.uses_processes
+    assert pool.run(_double, [{"x": 1}, {"x": 2}, {"x": 3}]) == [2, 4, 6]
+    threads = list(pool._executor._threads)
+    assert threads and all(t.is_alive() for t in threads)
+    pool.shutdown()
+    assert pool._executor is None
+    assert not any(t.is_alive() for t in threads)  # joined, none leaked
     pool.shutdown()  # second call finds everything cleared
-    assert pool._tasks is None and pool._results is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import ALGORITHMS
-from repro.exec.backend import PARALLEL, SCALAR, VECTOR, parallel_status
+from repro.exec.backend import PARALLEL, SCALAR, VECTOR
 from repro.faults.plan import SPILL_ALGORITHM_NAMES
 from repro.plan import (
     CandidatePoint,
@@ -37,14 +37,10 @@ def test_enumeration_respects_backend_and_algorithm_filters():
 
 
 def test_parallel_candidates_climb_the_ladder_when_usable():
-    usable, _ = parallel_status()
     points = enumerate_candidates(Constraints(
         algorithms=("cbase",), max_workers=4))
     parallel_points = [p for p in points if p.backend == PARALLEL]
-    if usable:
-        assert [p.workers for p in parallel_points] == [1, 2, 4]
-    else:
-        assert parallel_points == []
+    assert [p.workers for p in parallel_points] == [1, 2, 4]
 
 
 def test_labels_show_workers_only_for_parallel():

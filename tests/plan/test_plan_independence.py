@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.api import make_join
 from repro.data.zipf import ZipfWorkload
 from repro.errors import ReproError
-from repro.exec.backend import BACKEND_ENV, BACKENDS, PARALLEL, parallel_status
+from repro.exec.backend import BACKEND_ENV, BACKENDS
 from repro.exec.differential import compare_results
 from repro.faults.plan import seeded_plan
 from repro.faults.scope import activate_plan
@@ -107,9 +107,6 @@ def test_planned_pick_matches_env_forced_run(theta, seed):
 def test_every_backend_pick_matches_its_forced_run(backend, seed):
     """Pin the planner to one backend so all three get exercised even
     where the open argmin would never pick them (scalar)."""
-    usable, reason = parallel_status()
-    if backend == PARALLEL and not usable:
-        pytest.skip(f"parallel backend unusable here: {reason}")
     join_input = ZipfWorkload(256, 256, theta=1.0, seed=seed).generate()
     planner = _fresh_planner(backends=(backend,))
     plan = planner.plan(join_input)

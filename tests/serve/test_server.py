@@ -213,3 +213,34 @@ def test_trace_artifact_round_trips_served_results(tmp_path):
         assert result.trace is not None
     assert results[0].meta["cache_hit"] is False
     assert results[1].meta["cache_hit"] is True
+
+
+def test_oversized_request_line_gets_a_typed_error(capfd, caplog):
+    """A line over the reader's 64 KiB limit is answered, not dropped."""
+    keys = list(range(40000))  # a ~460 KB inline register line
+
+    async def scenario():
+        async with serving() as server:
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            writer.write(encode_message({
+                "op": "register", "request_id": "huge",
+                "relation_id": "huge",
+                "relation": {"generator": "inline", "keys": keys,
+                             "payloads": keys}}))
+            await writer.drain()
+            reply = json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=30))
+            # The daemon hangs up on that connection after the reply.
+            assert await asyncio.wait_for(reader.read(), timeout=30) == b""
+            writer.close()
+            async with connected(server) as client:
+                assert (await client.ping()).get("type") == "pong"
+            return reply
+
+    reply = asyncio.run(scenario())
+    assert reply["type"] == "error"
+    assert reply["error"]["kind"] == "ProtocolError"
+    assert "limit" in reply["error"]["message"]
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.levelname != "DEBUG"] == []

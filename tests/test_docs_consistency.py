@@ -172,13 +172,14 @@ def test_serve_cli_flags_are_documented():
 
 
 def test_serving_doc_covers_failure_semantics():
-    """The resilience surface — deadlines, circuits, drain, healing —
-    is documented with its typed error kinds and health metrics."""
+    """The resilience surface — deadlines, circuits, drain, oversized
+    request lines — is documented with its typed error kinds and health
+    metrics."""
     text = (ROOT / "docs" / "serving.md").read_text()
     for kind in ("DeadlineExceeded", "CircuitOpen", "RequestCancelled"):
         assert kind in text, f"serving.md lacks error kind {kind}"
     for term in ("deadline_ms", "serve.health.", "half-open",
-                 "drain", "self-healing", "`health`"):
+                 "drain", "64 KiB", "`health`"):
         assert term in text, f"serving.md lacks {term}"
     robustness = (ROOT / "docs" / "robustness.md").read_text()
     assert "`slow`" in robustness
@@ -378,8 +379,7 @@ def test_performance_doc_covers_out_of_core_ingest():
     for metric in ("store.bytes_raw", "store.compression_ratio",
                    "store.dictionaries_trained", "store.pages_in",
                    "store.bytes_paged_in", "store.mappings_released",
-                   "store.column_materializations",
-                   "store.zero_copy_shares"):
+                   "store.column_materializations"):
         assert metric in obs, f"observability.md lacks {metric}"
 
 
