@@ -11,7 +11,9 @@ paper baselines against.  Two probe implementations are provided:
   counts and output summary group-wise (every probe of bucket ``b`` walks
   ``len(chain(b))`` nodes and compares keys at each node; matches per key
   are cartesian products), which keeps Python-side work near-linear even
-  under heavy skew.
+  under heavy skew.  Its matches come from the table's
+  :class:`~repro.exec.matching.BuildIndex`, grouped once per build and
+  reused by every probe.
 
 Both report the same counters, so the cost model cannot tell them apart —
 a property the test suite checks.
@@ -28,10 +30,8 @@ from repro.errors import CapacityError
 from repro.exec.backend import dispatch, is_vector
 from repro.exec.cancel import checkpoint
 from repro.exec.counters import OpCounters
-from repro.exec.matching import emit_matches
+from repro.exec.matching import BuildIndex, build_index, emit_matches
 from repro.exec.output import JoinOutputBuffer, OutputSummary
-
-_U64_MASK = (1 << 64) - 1
 
 #: Scalar-build entries between cooperative cancellation checkpoints.
 _CHECKPOINT_STRIDE = 16384
@@ -49,6 +49,7 @@ class ChainedHashTable:
         self.keys = np.empty(0, dtype=np.uint32)
         self.payloads = np.empty(0, dtype=np.uint32)
         self._chain_lengths = np.zeros(n_buckets, dtype=np.int64)
+        self._index: Optional[BuildIndex] = None
         self._built = False
 
     @property
@@ -87,24 +88,8 @@ class ChainedHashTable:
         b = self._bucket_of(hashes)
         checkpoint(structure="chained-hash-table", phase="build")
         if is_vector():
-            nxt = self._build_links_parallel(b)
-            if nxt is None:
-                # Batch link construction: one stable sort recovers, per
-                # bucket, the exact head-insertion chain the scalar loop
-                # would build.
-                order = np.argsort(b, kind="stable")
-                sorted_b = b[order]
-                nxt = np.full(n, -1, dtype=np.int64)
-                if n > 1:
-                    same = sorted_b[1:] == sorted_b[:-1]
-                    nxt[order[1:][same]] = order[:-1][same]
-                if n > 0:
-                    is_last = np.empty(n, dtype=bool)
-                    is_last[:-1] = sorted_b[:-1] != sorted_b[1:]
-                    is_last[-1] = True
-                    self.heads[sorted_b[is_last]] = order[is_last]
-                    self._chain_lengths = np.bincount(
-                        b, minlength=self.n_buckets)
+            nxt = self._build_links(b)
+            self._index = build_index(keys, payloads)
         else:
             # Literal head insertion, one entry at a time; a deadline-
             # bearing request can abandon a huge scalar build between
@@ -131,38 +116,32 @@ class ChainedHashTable:
             if random_access:
                 counters.random_accesses += n
 
-    def _build_links_parallel(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """Segmented head-insertion links on the worker pool.
+    def _build_links(self, b: np.ndarray) -> np.ndarray:
+        """Head-insertion links, one segment per pool worker.
 
-        Each worker builds the local chains of one contiguous segment of
-        the build input; the driver then stitches segments together in
-        index order (each segment's per-bucket first entry points at the
-        previous segment's last entry), which reproduces the sequential
-        head-insertion ``next``/``heads`` arrays exactly.  Returns None
-        when the pool is not engaged (caller falls through to the
-        single-shot vector construction).
+        Each segment's local chains come from one stable sort; the driver
+        then stitches segments together in index order (each segment's
+        per-bucket first entry points at the previous segment's last
+        entry), which reproduces the sequential head-insertion
+        ``next``/``heads`` arrays exactly.  Without the pool the whole
+        input is one segment.
         """
         from repro.cpu.segments import split_segments
-        from repro.exec.parallel import SharedArena, morsel_pool
+        from repro.exec.parallel import SharedArena, morsel_pool, run_morsels
         from repro.exec.parallel.kernels import chain_links
 
         n = b.size
+        nxt = np.full(n, -1, dtype=np.int64)
         pool = morsel_pool(n)
         if pool is None:
-            return None
-        segments = split_segments(n, pool.n_workers)
-        arena = SharedArena()
-        buckets = arena.share(b)
-        nxt = arena.empty(n, np.int64)
-        nxt.fill(-1)
-        results = pool.run(chain_links, [
-            dict(buckets=buckets, nxt=nxt, a=a, b=hi)
-            for (a, hi) in segments
-        ])
-        # Stitch: walk segments in index order; a bucket's first entry in
-        # a segment chains to its last entry in the previous segments.
+            specs = [dict(buckets=b, nxt=nxt, a=0, b=n)]
+        else:
+            buckets = SharedArena().share(b)
+            specs = [dict(buckets=buckets, nxt=nxt, a=a, b=hi)
+                     for (a, hi) in split_segments(n, pool.n_workers)]
         prev_last = np.full(self.n_buckets, -1, dtype=np.int64)
-        for uniq, first_idx, last_idx in results:
+        for uniq, first_idx, last_idx in run_morsels(pool, chain_links,
+                                                     specs):
             if uniq.size == 0:
                 continue
             nxt[first_idx] = prev_last[uniq]
@@ -170,6 +149,14 @@ class ChainedHashTable:
         self.heads[:] = prev_last
         self._chain_lengths = np.bincount(b, minlength=self.n_buckets)
         return nxt
+
+    @property
+    def index(self) -> BuildIndex:
+        """The entries grouped by key, built once and shared by every
+        grouped probe (at build time under vector/parallel, else here)."""
+        if self._index is None:
+            self._index = build_index(self.keys, self.payloads)
+        return self._index
 
     def chain_length(self, bucket: int) -> int:
         """Entries chained in one bucket."""
@@ -243,7 +230,8 @@ class ChainedHashTable:
             if random_access:
                 counters.random_accesses += steps + ns
         summary = emit_matches(
-            self.keys, self.payloads, s_keys, s_payloads, buffer
+            self.keys, self.payloads, s_keys, s_payloads, buffer,
+            index=self.index,
         )
         if counters is not None:
             counters.output_tuples += summary.count
@@ -316,7 +304,3 @@ class ChainedHashTable:
             if random_access:
                 counters.random_accesses += steps + ns
         return summary
-
-
-# Backwards-compatible aliases for internal callers.
-_emit_matches = emit_matches

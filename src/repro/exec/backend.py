@@ -7,7 +7,8 @@ identical renditions:
 
 * ``vector`` (the default) — NumPy batch evaluation: ``np.bincount``
   histograms, cumulative-sum bases, single-pass fancy-index scatters, and
-  group-wise sort/``searchsorted`` match expansion.  This is the fast path
+  group-wise match expansion against a build index each hash table
+  computes once.  This is the fast path
   that keeps the Python executors bandwidth-bound instead of
   interpreter-bound.
 * ``scalar`` — a literal per-tuple Python rendition of the paper's

@@ -26,7 +26,7 @@ enough to amortize morsel overhead.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exec.parallel.arena import SharedArena
 from repro.exec.parallel.pool import (
@@ -60,6 +60,15 @@ def morsel_pool(n_tuples: int) -> Optional[WorkerPool]:
     return get_pool()
 
 
+def run_morsels(pool: Optional[WorkerPool], kernel: Callable,
+                task_specs: Sequence[Dict]) -> List:
+    """``pool.run(kernel, task_specs)``, or every spec inline in order
+    when ``pool`` is None (the vector rendition of the same phase)."""
+    if pool is None:
+        return [kernel(**spec) for spec in task_specs]
+    return pool.run(kernel, task_specs)
+
+
 __all__ = [
     "DEFAULT_MIN_PARALLEL_TUPLES",
     "MIN_TUPLES_ENV",
@@ -70,6 +79,7 @@ __all__ = [
     "get_pool",
     "min_parallel_tuples",
     "morsel_pool",
+    "run_morsels",
     "shutdown_pool",
     "worker_count",
 ]

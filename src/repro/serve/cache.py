@@ -11,10 +11,12 @@ bounded-recency pattern as the Zipf CDF table cache in
 on the same cold key share exactly one build via a per-key in-flight
 future (single-flight).
 
-Version discipline: re-registering a relation id bumps its version, so
-stale cached builds are never *served* for a new version — they linger
-only until LRU pressure or an explicit :meth:`invalidate` drops them,
-and remain addressable by explicit version for in-flight clients.
+Version discipline: re-registering a relation id bumps its version and
+the engine invalidates the superseded version's cached build at once, so
+a stale build is never served; requests already holding the old entry
+finish with it.  Each cached table carries its
+:class:`~repro.exec.matching.BuildIndex`, so warm probes reuse the
+build's key grouping as well as its chains.
 
 The cache also carries a per-key **circuit breaker**: after
 ``circuit_threshold`` *consecutive* cold-build failures the circuit
@@ -59,7 +61,8 @@ CacheKey = Tuple[str, int]
 
 @dataclass
 class CachedBuild:
-    """One cached build side: the table plus its provenance."""
+    """One cached build side: the table (with its build index) plus its
+    provenance."""
 
     table: object
     relation_id: str

@@ -151,7 +151,9 @@ class ServeEngine:
         #: the backend per request and learns from every answer.  None
         #: keeps the ambient backend (planner off), the default.
         self.planner = planner
-        self._relations: Dict[str, Dict[int, Relation]] = {}
+        #: The latest version of each registered relation (older versions
+        #: are dropped on re-register).
+        self._relations: Dict[str, Relation] = {}
         self._latest: Dict[str, int] = {}
         self._trace_seq = itertools.count(1)
         self.requests = 0
@@ -169,16 +171,18 @@ class ServeEngine:
     def register(self, relation_id: str, relation: Relation) -> int:
         """Install (or bump) a build-side relation; returns its version.
 
-        Re-registering an id bumps the version: probes without an
-        explicit version immediately see the new data, and the stale
-        version's cached build is invalidated so it can only be reached
-        by clients still pinning the old version explicitly — which no
-        longer resolves once the relation data is replaced below.
+        Re-registering an id bumps the version and replaces the data: the
+        registry keeps only the latest version of each relation, and the
+        superseded version's cached build is invalidated.  Probes without
+        an explicit version see the new data at once; a probe pinning the
+        superseded version gets a typed :class:`ServeError` carrying
+        ``latest``.  Requests already past :meth:`resolve` hold their
+        relation and complete.
         """
         if not relation_id:
             raise ServeError("relation_id must be non-empty")
         version = self._latest.get(relation_id, 0) + 1
-        self._relations.setdefault(relation_id, {})[version] = relation
+        self._relations[relation_id] = relation
         self._latest[relation_id] = version
         if version > 1:
             self.cache.invalidate(relation_id, version - 1)
@@ -187,21 +191,19 @@ class ServeEngine:
     def resolve(self, relation_id: str,
                 version: Optional[int] = None) -> Tuple[int, Relation]:
         """The (version, relation) a probe addresses; typed error if gone."""
-        versions = self._relations.get(relation_id)
-        if not versions:
+        relation = self._relations.get(relation_id)
+        if relation is None:
             raise ServeError(
                 f"unknown relation {relation_id!r}; register it first",
                 relation_id=relation_id)
-        if version is None:
-            version = self._latest[relation_id]
-        relation = versions.get(version)
-        if relation is None:
+        latest = self._latest[relation_id]
+        if version is not None and version != latest:
+            state = "was superseded" if version < latest else "does not exist"
             raise ServeError(
-                f"relation {relation_id!r} has no version {version} "
-                f"(latest is {self._latest[relation_id]})",
-                relation_id=relation_id, version=version,
-                latest=self._latest[relation_id])
-        return version, relation
+                f"relation {relation_id!r} version {version} {state} "
+                f"(latest is {latest})",
+                relation_id=relation_id, version=version, latest=latest)
+        return latest, relation
 
     def invalidate(self, relation_id: str) -> int:
         """Drop a relation (all versions) and its cached builds."""
@@ -321,6 +323,10 @@ class ServeEngine:
             checkpoint(stage="admitted", trace_id=trace_id)
             entry, hit, shared = await self.cache.get_or_build(
                 key, lambda: self._build_entry(key, build_rel, result))
+            if self._latest.get(request.relation_id) != version:
+                # Re-registered while this build ran: answer from it, but
+                # do not keep a table no probe can address any more.
+                self.cache.invalidate(request.relation_id, version)
             # A deadline that ran out during the build fires here at the
             # latest — single-shot vector builds have no interior
             # checkpoint, so this is what keeps ``deadline_ms=1`` against

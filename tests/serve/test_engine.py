@@ -1,6 +1,8 @@
 """Engine semantics: cold/warm identity, admission, faults, versions."""
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -131,6 +133,63 @@ def test_version_bump_serves_new_data_and_invalidates_stale(workload):
         type(workload)(r=replacement.r, s=workload.s))
     assert outcome.result.output_count == direct.output_count
     assert outcome.result.output_checksum == direct.output_checksum
+
+
+def test_re_register_keeps_only_the_latest_version(workload):
+    engine = ServeEngine()
+    refs = []
+    for _ in range(100):
+        relation = ZipfWorkload(64, 64, 0.0, seed=len(refs)).generate().r
+        refs.append(weakref.ref(relation))
+        version = engine.register("orders", relation)
+        probe(engine, workload, version=version)
+        del relation
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [False] * 99 + [True]
+    assert engine.cache.keys() == (("orders", 100),)
+    assert engine.resolve("orders")[0] == 100
+    with pytest.raises(ServeError) as err:
+        probe(engine, workload, version=42)
+    assert err.value.context["latest"] == 100
+    assert "superseded" in str(err.value)
+
+
+def test_in_flight_probe_finishes_on_its_superseded_version(workload):
+    engine = ServeEngine()
+    engine.register("orders", workload.r)
+    replacement = ZipfWorkload(N, N, 0.0, seed=7).generate()
+
+    async def re_register_mid_stream(chunk):
+        if chunk["index"] == 0:
+            engine.register("orders", replacement.r)
+
+    outcome = asyncio.run(engine.probe(
+        ProbeRequest(relation_id="orders", probe=workload.s,
+                     morsel_tuples=256), emit=re_register_mid_stream))
+    direct = make_join("cbase").run(workload)
+    assert outcome.result.meta["version"] == 1
+    assert outcome.result.output_count == direct.output_count
+    assert outcome.result.output_checksum == direct.output_checksum
+    assert engine.cache.keys() == ()
+
+
+def test_build_superseded_while_running_is_not_cached(workload, monkeypatch):
+    engine = ServeEngine()
+    engine.register("orders", workload.r)
+    replacement = ZipfWorkload(N, N, 0.0, seed=7).generate()
+    real_build = engine._build_entry
+
+    def build_then_re_register(key, relation, result):
+        entry = real_build(key, relation, result)
+        engine.register("orders", replacement.r)
+        return entry
+
+    monkeypatch.setattr(engine, "_build_entry", build_then_re_register)
+    outcome = probe(engine, workload)
+    assert outcome.result.meta["version"] == 1
+    assert outcome.result.output_count == make_join("cbase").run(
+        workload).output_count
+    assert engine.cache.keys() == ()
 
 
 def test_unknown_relation_and_version_raise_typed_errors(engine, workload):
