@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.exec.backend import dispatch
 from repro.exec.counters import OpCounters
+from repro.exec.parallel.kernels import stable_order
 
 
 class SkewCheckupTable:
@@ -105,8 +106,7 @@ class SkewedPartitionSet:
     def _fill_vector(self, part_ids: np.ndarray, keys: np.ndarray,
                      payloads: np.ndarray) -> None:
         """Batch grouping via one stable sort over partition ids."""
-        order = np.argsort(part_ids, kind="stable")
-        sorted_ids = part_ids[order]
+        sorted_ids, order = stable_order(part_ids)
         boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
         starts = np.concatenate([[0], boundaries])
         stops = np.concatenate([boundaries, [sorted_ids.size]])

@@ -23,6 +23,7 @@ from repro.cpu.threads import ThreadPool
 from repro.data.relation import Relation
 from repro.exec.counters import OpCounters
 from repro.exec.output import JoinOutputBuffer, OutputSummary, combine_summaries
+from repro.exec.parallel.kernels import stable_order
 
 
 @dataclass
@@ -157,8 +158,7 @@ def partition_s_hybrid(
     if skew_mask.any():
         skew_pids = pids[skew_mask]
         skew_pays = s.payloads[skew_mask]
-        order = np.argsort(skew_pids, kind="stable")
-        sorted_pids = skew_pids[order]
+        sorted_pids, order = stable_order(skew_pids)
         boundaries = np.flatnonzero(np.diff(sorted_pids)) + 1
         starts = np.concatenate([[0], boundaries])
         stops = np.concatenate([boundaries, [sorted_pids.size]])

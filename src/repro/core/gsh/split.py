@@ -19,6 +19,7 @@ from repro.core.gsh.detector import GpuSkewDetection
 from repro.cpu.partition import PartitionedRelation
 from repro.exec.backend import dispatch
 from repro.exec.counters import OpCounters
+from repro.exec.parallel.kernels import stable_order
 from repro.gpu.kernel import BlockWork, uniform_grid
 from repro.gpu.partitioning import PARTITION_TUPLES_PER_BLOCK
 from repro.types import KEY_DTYPE, PAYLOAD_DTYPE
@@ -71,9 +72,8 @@ def _split_one_vector(
     """Batch split of one large partition: mask + stable sort scatter."""
     mask = np.isin(k, skew_keys)
     if mask.any():
-        sk, sv = k[mask], v[mask]
-        order = np.argsort(sk, kind="stable")
-        sk, sv = sk[order], sv[order]
+        sk, order = stable_order(k[mask])
+        sv = v[mask][order]
         bounds = np.flatnonzero(np.diff(sk)) + 1
         starts = np.concatenate([[0], bounds])
         stops = np.concatenate([bounds, [sk.size]])

@@ -125,37 +125,6 @@ def _scatter_outputs(n: int, hist: np.ndarray):
     return keys_out, pays_out, hashes_out, offsets
 
 
-def _scatter_vector(
-    keys: np.ndarray,
-    payloads: np.ndarray,
-    hashes: np.ndarray,
-    part_ids: np.ndarray,
-    fanout: int,
-    segments: Sequence[Tuple[int, int]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch scatter: bincount histograms + one fancy-index pass per thread."""
-    n_threads = len(segments)
-    hist = np.zeros((n_threads, fanout), dtype=np.int64)
-    for t, (a, b) in enumerate(segments):
-        if b > a:
-            hist[t] = np.bincount(part_ids[a:b], minlength=fanout)
-    base = _partition_bases(hist)
-    keys_out, pays_out, hashes_out, offsets = _scatter_outputs(keys.size, hist)
-    for t, (a, b) in enumerate(segments):
-        if b <= a:
-            continue
-        ids = part_ids[a:b]
-        order = np.argsort(ids, kind="stable")
-        counts = hist[t]
-        run_start = np.repeat(base[t], counts)
-        run_origin = np.repeat(np.cumsum(counts) - counts, counts)
-        dest = run_start + (np.arange(b - a) - run_origin)
-        keys_out[dest] = keys[a:b][order]
-        pays_out[dest] = payloads[a:b][order]
-        hashes_out[dest] = hashes[a:b][order]
-    return keys_out, pays_out, hashes_out, offsets
-
-
 def _scatter_scalar(
     keys: np.ndarray,
     payloads: np.ndarray,
@@ -186,7 +155,7 @@ def _scatter_scalar(
     return keys_out, pays_out, hashes_out, offsets
 
 
-def _scatter_parallel(
+def _scatter_batch(
     keys: np.ndarray,
     payloads: np.ndarray,
     hashes: np.ndarray,
@@ -194,37 +163,30 @@ def _scatter_parallel(
     fanout: int,
     segments: Sequence[Tuple[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The vector scatter with both scans fanned out over the worker pool.
+    """Batch scatter: bincount histograms + one fancy-index pass per segment.
 
-    The morsels are the *same* per-thread segments the simulated
-    ThreadPool prices, and the destination layout comes from the same
-    prefix-sum base matrix, so segment scatters are contention free and
-    the output arrays match ``_scatter_vector`` bit for bit.
+    Both scans run one morsel per per-thread segment — the segments the
+    simulated ThreadPool prices — on the worker pool, or inline in segment
+    order without it.  The destinations come from the prefix-sum base
+    matrix, so segment scatters are contention free.
     """
-    from repro.exec.parallel import SharedArena, morsel_pool
+    from repro.exec.parallel import SharedArena, morsel_pool, run_morsels
     from repro.exec.parallel.kernels import partition_hist, partition_scatter
 
     pool = morsel_pool(keys.size)
-    if pool is None:
-        return _scatter_vector(keys, payloads, hashes, part_ids, fanout,
-                               segments)
-    arena = SharedArena()
-    ids = arena.share(part_ids)
-    hist_rows = pool.run(partition_hist, [
-        dict(ids=ids, a=a, b=b, fanout=fanout) for (a, b) in segments
-    ])
-    hist = np.stack(hist_rows).astype(np.int64, copy=False)
+    if pool is not None:
+        arena = SharedArena()
+        part_ids = arena.share(part_ids)
+        keys, payloads, hashes = (arena.share(a)
+                                  for a in (keys, payloads, hashes))
+    hist = np.stack(run_morsels(pool, partition_hist, [
+        dict(ids=part_ids, a=a, b=b, fanout=fanout) for (a, b) in segments
+    ])).astype(np.int64, copy=False)
     base = _partition_bases(hist)
-    n = keys.size
-    offsets = np.zeros(fanout + 1, dtype=np.int64)
-    np.cumsum(hist.sum(axis=0), out=offsets[1:])
-    keys_out = arena.empty(n, KEY_DTYPE)
-    pays_out = arena.empty(n, PAYLOAD_DTYPE)
-    hashes_out = arena.empty(n, np.uint32)
-    task = dict(keys=arena.share(keys), payloads=arena.share(payloads),
-                hashes=arena.share(hashes), ids=ids, keys_out=keys_out,
-                pays_out=pays_out, hashes_out=hashes_out)
-    pool.run(partition_scatter, [
+    keys_out, pays_out, hashes_out, offsets = _scatter_outputs(keys.size, hist)
+    task = dict(keys=keys, payloads=payloads, hashes=hashes, ids=part_ids,
+                keys_out=keys_out, pays_out=pays_out, hashes_out=hashes_out)
+    run_morsels(pool, partition_scatter, [
         dict(task, a=a, b=b, base_row=base[t], counts_row=hist[t])
         for t, (a, b) in enumerate(segments) if b > a
     ])
@@ -246,7 +208,7 @@ def _scatter(
     output offsets Cbase computes from the first-scan histograms; all
     backends produce bit-identical arrays.
     """
-    impl = dispatch(_scatter_scalar, _scatter_vector, _scatter_parallel)
+    impl = dispatch(_scatter_scalar, _scatter_batch)
     return impl(keys, payloads, hashes, part_ids, fanout, segments)
 
 
@@ -275,95 +237,65 @@ def partition_pass(
     )
 
 
-def _refine_one_vector(pkeys, ppays, phash, ids, sub_fanout,
-                       keys_out, pays_out, hashes_out, lo):
-    """Reorder one parent partition by sub-id via a stable argsort."""
-    m = pkeys.size
-    order = np.argsort(ids, kind="stable")
-    keys_out[lo:lo + m] = pkeys[order]
-    pays_out[lo:lo + m] = ppays[order]
-    hashes_out[lo:lo + m] = phash[order]
-    return np.bincount(ids, minlength=sub_fanout)
+def _refine_scalar(keys, payloads, hashes, ids, keys_out, pays_out,
+                   hashes_out, bounds, sub_fanout):
+    """Reorder each [lo, hi) parent span tuple-at-a-time (count, then copy)."""
+    sub_sizes = np.empty((len(bounds), sub_fanout), dtype=np.int64)
+    for j, (lo, hi) in enumerate(bounds):
+        id_list = ids[lo:hi].tolist()
+        counts = [0] * sub_fanout
+        for sid in id_list:
+            counts[sid] += 1
+        cursor = [0] * sub_fanout
+        acc = 0
+        for sid in range(sub_fanout):
+            cursor[sid] = acc
+            acc += counts[sid]
+        for i, sid in enumerate(id_list):
+            d = lo + cursor[sid]
+            cursor[sid] += 1
+            keys_out[d] = keys[lo + i]
+            pays_out[d] = payloads[lo + i]
+            hashes_out[d] = hashes[lo + i]
+        sub_sizes[j] = counts
+    return sub_sizes
 
 
-def _refine_one_scalar(pkeys, ppays, phash, ids, sub_fanout,
-                       keys_out, pays_out, hashes_out, lo):
-    """Reorder one parent partition tuple-at-a-time (count, then copy)."""
-    id_list = ids.tolist()
-    counts = [0] * sub_fanout
-    for sid in id_list:
-        counts[sid] += 1
-    cursor = [0] * sub_fanout
-    acc = 0
-    for sid in range(sub_fanout):
-        cursor[sid] = acc
-        acc += counts[sid]
-    for i, sid in enumerate(id_list):
-        d = cursor[sid]
-        cursor[sid] = d + 1
-        keys_out[lo + d] = pkeys[i]
-        pays_out[lo + d] = ppays[i]
-        hashes_out[lo + d] = phash[i]
-    return np.asarray(counts, dtype=np.int64)
+def _refine_batch(keys, payloads, hashes, ids, keys_out, pays_out,
+                  hashes_out, bounds, sub_fanout):
+    """Refine every [lo, hi) parent span, in chunks of consecutive spans.
 
-
-def _refine_parallel(
-    parent: PartitionedRelation,
-    start_bit: int,
-    n_bits: int,
-    refine_mask: Optional[np.ndarray],
-    keys_out: np.ndarray,
-    pays_out: np.ndarray,
-    hashes_out: np.ndarray,
-) -> Optional[dict]:
-    """Refine every selected partition on the worker pool.
-
-    Morsels are chunks of consecutive refined partitions (each partition
-    reorders only its own [lo, hi) span, so chunks are contention free).
-    Fills the caller's output arrays over the refined spans and returns
-    ``{p: sub_sizes}``; returns None when the pool is not engaged and the
-    caller should refine per partition on the vector path.
+    Each span reorders only its own tuples, so chunks are contention free.
+    The pool gets about ``MORSELS_PER_WORKER`` chunks per worker; without
+    it one chunk holds every span.  Returns the (len(bounds), sub_fanout)
+    sub-size matrix.
     """
-    from repro.exec.parallel import MORSELS_PER_WORKER, SharedArena, morsel_pool
+    from repro.exec.parallel import (MORSELS_PER_WORKER, SharedArena,
+                                     morsel_pool, run_morsels)
     from repro.exec.parallel.kernels import refine_chunk
 
-    if parent.hashes is None:
-        return None
-    pool = morsel_pool(parent.n)
+    pool = morsel_pool(keys.size)
     if pool is None:
-        return None
-    refined = [p for p in range(parent.fanout)
-               if refine_mask is None or refine_mask[p]]
-    if not refined:
-        return {}
-    sub_fanout = 1 << n_bits
-    ids = radix_bits(parent.hashes, start_bit, n_bits)
-    spans = [(p, int(parent.offsets[p]), int(parent.offsets[p + 1]))
-             for p in refined]
-    target = max(parent.n // max(pool.n_workers * MORSELS_PER_WORKER, 1), 1)
-    chunks: List[List[Tuple[int, int, int]]] = [[]]
-    chunk_tuples = 0
-    for span in spans:
-        if chunks[-1] and chunk_tuples >= target:
-            chunks.append([])
-            chunk_tuples = 0
-        chunks[-1].append(span)
-        chunk_tuples += span[2] - span[1]
-    arena = SharedArena()
-    task = dict(keys=arena.share(parent.keys),
-                payloads=arena.share(parent.payloads),
-                hashes=arena.share(parent.hashes), ids=arena.share(ids),
+        chunks = [bounds]
+    else:
+        arena = SharedArena()
+        keys, payloads, hashes, ids = (arena.share(a)
+                                       for a in (keys, payloads, hashes, ids))
+        target = max(keys.size // (pool.n_workers * MORSELS_PER_WORKER), 1)
+        chunks: List[List[Tuple[int, int]]] = [[]]
+        chunk_tuples = 0
+        for lo, hi in bounds:
+            if chunks[-1] and chunk_tuples >= target:
+                chunks.append([])
+                chunk_tuples = 0
+            chunks[-1].append((lo, hi))
+            chunk_tuples += hi - lo
+    task = dict(keys=keys, payloads=payloads, hashes=hashes, ids=ids,
                 keys_out=keys_out, pays_out=pays_out, hashes_out=hashes_out,
                 sub_fanout=sub_fanout)
-    results = pool.run(refine_chunk, [
-        dict(task, bounds=[(lo, hi) for (_p, lo, hi) in chunk])
-        for chunk in chunks
-    ])
-    sub_sizes_by_p = {}
-    for chunk, matrix in zip(chunks, results):
-        for row, (p, _lo, _hi) in enumerate(chunk):
-            sub_sizes_by_p[p] = matrix[row]
-    return sub_sizes_by_p
+    return np.concatenate(run_morsels(pool, refine_chunk, [
+        dict(task, bounds=chunk) for chunk in chunks
+    ]))
 
 
 def refine_pass(
@@ -390,30 +322,29 @@ def refine_pass(
     hashes_out = np.empty(n, dtype=np.uint32)
     offsets = np.zeros(fanout + 1, dtype=np.int64)
     sizes = np.zeros(fanout, dtype=np.int64)
-    task_counters: List[OpCounters] = []
-    parallel_sizes = _refine_parallel(parent, start_bit, n_bits, refine_mask,
-                                      keys_out, pays_out, hashes_out)
-    for p in range(parent.fanout):
-        lo, hi = int(parent.offsets[p]), int(parent.offsets[p + 1])
-        m = hi - lo
-        pkeys = parent.keys[lo:hi]
-        ppays = parent.payloads[lo:hi]
-        phash = parent.partition_hashes(p)
-        if refine_mask is not None and not refine_mask[p]:
-            keys_out[lo:hi] = pkeys
-            pays_out[lo:hi] = ppays
-            hashes_out[lo:hi] = phash
-            sizes[p * sub_fanout] = m
-            continue
-        if parallel_sizes is not None:
-            sub_sizes = parallel_sizes[p]
-        else:
-            ids = radix_bits(phash, start_bit, n_bits)
-            reorder = dispatch(_refine_one_scalar, _refine_one_vector)
-            sub_sizes = reorder(pkeys, ppays, phash, ids, sub_fanout,
-                                keys_out, pays_out, hashes_out, lo)
-        sizes[p * sub_fanout:(p + 1) * sub_fanout] = sub_sizes
-        task_counters.append(_scan_counters(m))
+    hashes = parent.hashes
+    if hashes is None:
+        hashes = hash_keys(parent.keys)
+    bounds = parent.offsets.tolist()
+    mask = (np.ones(parent.fanout, dtype=bool) if refine_mask is None
+            else np.asarray(refine_mask, dtype=bool))
+    refined = np.flatnonzero(mask).tolist()
+    refine = dispatch(_refine_scalar, _refine_batch)
+    sub_sizes = refine(parent.keys, parent.payloads, hashes,
+                       radix_bits(hashes, start_bit, n_bits), keys_out,
+                       pays_out, hashes_out,
+                       [(bounds[p], bounds[p + 1]) for p in refined],
+                       sub_fanout)
+    task_counters = []
+    for p, row in zip(refined, sub_sizes):
+        sizes[p * sub_fanout:(p + 1) * sub_fanout] = row
+        task_counters.append(_scan_counters(bounds[p + 1] - bounds[p]))
+    for p in np.flatnonzero(~mask).tolist():
+        lo, hi = bounds[p], bounds[p + 1]
+        keys_out[lo:hi] = parent.keys[lo:hi]
+        pays_out[lo:hi] = parent.payloads[lo:hi]
+        hashes_out[lo:hi] = hashes[lo:hi]
+        sizes[p * sub_fanout] = hi - lo
     np.cumsum(sizes, out=offsets[1:])
     return PartitionPassResult(
         partitioned=PartitionedRelation(keys_out, pays_out, offsets, hashes_out),

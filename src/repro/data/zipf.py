@@ -36,6 +36,9 @@ _zipf_cache: "OrderedDict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]]" \
 _zipf_cache_hits = 0
 _zipf_cache_misses = 0
 
+#: Uniform draws made per step when keys are drawn (bounds the temporaries).
+_DRAW_CHUNK = 1 << 23
+
 
 def _zipf_tables(n_keys: int, theta: float) -> Tuple[np.ndarray, np.ndarray]:
     """The (pmf, cumulative-interval) pair for one (n_keys, theta), cached.
@@ -141,18 +144,22 @@ class ZipfWorkload:
             raise WorkloadError(f"rank {rank} out of range 1..{self.n_keys}")
         return int(self._key_of_rank[rank - 1])
 
-    def _draw_keys(self, n: int, rng: np.random.Generator,
-                   chunk: int = 1 << 23) -> np.ndarray:
+    def _draw_keys(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n keys by the paper's interval-search procedure."""
         out = np.empty(n, dtype=KEY_DTYPE)
         pos = 0
         while pos < n:
-            m = min(chunk, n - pos)
+            m = min(_DRAW_CHUNK, n - pos)
             u = rng.random(m)
             ranks = np.searchsorted(self._intervals, u, side="right")
             out[pos:pos + m] = self._key_of_rank[ranks]
             pos += m
         return out
+
+    @staticmethod
+    def _draw_payloads(n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, 2**32, size=n,
+                            dtype=np.uint64).astype(PAYLOAD_DTYPE)
 
     def generate(self, payload_seed: SeedLike = None) -> JoinInput:
         """Materialize the R and S relations."""
@@ -160,19 +167,24 @@ class ZipfWorkload:
         pay_rng = make_rng(payload_seed) if payload_seed is not None else rng
         r_keys = self._draw_keys(self.n_r, rng)
         s_keys = self._draw_keys(self.n_s, rng)
-        r = Relation(
-            r_keys,
-            pay_rng.integers(0, 2**32, size=self.n_r, dtype=np.uint64).astype(PAYLOAD_DTYPE),
-            name="R",
-        )
-        s = Relation(
-            s_keys,
-            pay_rng.integers(0, 2**32, size=self.n_s, dtype=np.uint64).astype(PAYLOAD_DTYPE),
-            name="S",
-        )
+        r = Relation(r_keys, self._draw_payloads(self.n_r, pay_rng), name="R")
+        s = Relation(s_keys, self._draw_payloads(self.n_s, pay_rng), name="S")
         return JoinInput(r=r, s=s, meta={
             "theta": self.theta, "n_keys": self.n_keys, "generator": "zipf",
         })
+
+    def generate_r(self) -> Relation:
+        """R alone, bit-identical to ``generate().r``.
+
+        R and S share one rng stream (R keys, S keys, R payloads, S
+        payloads), so S's uniform key draws still advance it, only
+        without the interval search; S's payloads are not drawn.
+        """
+        rng = self._rng
+        r_keys = self._draw_keys(self.n_r, rng)
+        for pos in range(0, self.n_s, _DRAW_CHUNK):
+            rng.random(min(_DRAW_CHUNK, self.n_s - pos))
+        return Relation(r_keys, self._draw_payloads(self.n_r, rng), name="R")
 
     def sample_rank_counts(self, n: int, rng: Optional[np.random.Generator] = None,
                            chunk: int = 1 << 23) -> np.ndarray:

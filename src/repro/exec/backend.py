@@ -16,11 +16,10 @@ identical renditions:
   It is the executable specification: slow, obvious, and used by the
   differential harness to pin the vector path down to bit-identical
   outputs, :class:`~repro.exec.counters.OpCounters`, and phase structure.
-* ``parallel`` — the vector phases executed morsel-by-morsel on a
-  persistent thread pool over the pipeline's own arrays
-  (:mod:`repro.exec.parallel`).  Phases without a dedicated parallel
-  rendition run the vector one; either way results stay bit-identical,
-  only wall time changes.
+* ``parallel`` — the vector implementation with its morsels handed to
+  a persistent thread pool over the pipeline's own arrays
+  (:mod:`repro.exec.parallel`).  Results stay bit-identical; only wall
+  time changes.
 
 Selection is ambient.  The process default comes from the
 ``REPRO_BACKEND`` environment variable (``vector`` when unset); tests and
@@ -93,9 +92,8 @@ def current_backend() -> str:
 def is_vector() -> bool:
     """True when a batch (NumPy) backend is selected.
 
-    The parallel backend counts: every phase it does not explicitly
-    parallelize runs the vector rendition, so two-way dispatch sites must
-    take the vector branch under it.
+    The parallel backend counts: it runs the vector implementation, only
+    with the morsels on the worker pool.
     """
     return current_backend() != SCALAR
 
@@ -111,16 +109,10 @@ def use_backend(name: str) -> Iterator[str]:
         _override.reset(token)
 
 
-def dispatch(scalar_impl: _F, vector_impl: _F,
-             parallel_impl: Optional[_F] = None) -> _F:
+def dispatch(scalar_impl: _F, vector_impl: _F) -> _F:
     """Pick the implementation matching the ambient backend.
 
-    Two-argument call sites cover phases with no dedicated parallel
-    rendition: under the parallel backend they receive ``vector_impl``.
+    The parallel backend receives ``vector_impl``: batch phases consult
+    :func:`repro.exec.parallel.morsel_pool` for the pool themselves.
     """
-    backend = current_backend()
-    if backend == SCALAR:
-        return scalar_impl
-    if backend == PARALLEL and parallel_impl is not None:
-        return parallel_impl
-    return vector_impl
+    return scalar_impl if current_backend() == SCALAR else vector_impl

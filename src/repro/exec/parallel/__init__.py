@@ -1,10 +1,11 @@
 """Morsel-driven multicore execution on a thread pool.
 
-The third execution backend (``REPRO_BACKEND=parallel``): a persistent
-:class:`~repro.exec.parallel.pool.WorkerPool` of threads computes the
-dominant vector phases — partition scatter/refine, chained-table build,
-match-group stats and pair expansion — over the pipeline's own arrays, one
-morsel at a time.
+The third execution backend (``REPRO_BACKEND=parallel``) is the vector
+backend plus a persistent :class:`~repro.exec.parallel.pool.WorkerPool`
+of threads.  Each batch phase — partition scatter/refine, chained-table
+build, match-group stats and pair expansion — has one implementation,
+kernels over the pipeline's own arrays (:mod:`repro.exec.parallel.kernels`)
+run through :func:`run_morsels`; the pool only takes their morsels.
 
 Division of labour:
 
@@ -48,7 +49,7 @@ MORSELS_PER_WORKER = 2
 def morsel_pool(n_tuples: int) -> Optional[WorkerPool]:
     """The pool to run an ``n_tuples``-sized phase on, or None.
 
-    None means "stay on the vector path": the parallel backend is not the
+    None means "run the morsels inline": the parallel backend is not the
     ambient backend, or the phase is too small to engage the pool
     (``REPRO_PARALLEL_MIN_TUPLES``).
     """

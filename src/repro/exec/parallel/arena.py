@@ -18,7 +18,3 @@ class SharedArena:
     def share(self, array: np.ndarray) -> np.ndarray:
         """Expose an input array to the morsels (no copy)."""
         return array
-
-    def empty(self, shape, dtype) -> np.ndarray:
-        """Allocate an uninitialized output array the morsels fill."""
-        return np.empty(shape, dtype=dtype)

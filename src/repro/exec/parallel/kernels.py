@@ -1,4 +1,4 @@
-"""Worker-side compute kernels for the parallel backend.
+"""Compute kernels of the batch backends, ``vector`` and ``parallel``.
 
 Each kernel is a pure function over the pipeline's arrays: no fault
 scopes, no tracer, no counters.  All accounting (operation counters,
@@ -7,13 +7,14 @@ which is what keeps every backend's observable results bit-identical —
 morsels can run in any order without the cost model noticing.  Kernels
 that write do so into a slice no other morsel of the phase touches.
 
-Every kernel mirrors one segment/morsel of the corresponding vector
-implementation exactly (same numpy expressions, same stable sorts), so
-that concatenating the morsel results reproduces the vector arrays
-bit-for-bit.  The chain-link and matching kernels *are* the vector
-implementation: without the pool they run inline over one morsel that
-spans the whole input.  The differential suite pins this down per
-algorithm.
+The kernels *are* the vector implementation: without the pool the
+driver runs them inline, in morsel order (one morsel per simulated
+thread segment for the partition scatter, one morsel spanning the whole
+input for the rest), so the pool changes only which thread runs each
+morsel.  Every ordering by a small integer id is the one composite sort
+behind :func:`stable_argsort` and :func:`stable_order`.  The
+differential suite pins the results down per algorithm against the
+scalar oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +22,37 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
+
+
+def _sorted_composites(values: np.ndarray) -> np.ndarray:
+    """``value << 32 | position`` for integers in [0, 2**32), sorted.
+
+    One unstable SIMD sort: the position makes every composite distinct,
+    so the order is the stable one — several times faster than numpy's
+    stable argsort, which is a timsort for 32- and 64-bit integers.
+    """
+    comp = values.astype(np.uint64) << np.uint64(32)
+    comp |= np.arange(values.size, dtype=np.uint64)
+    comp.sort()
+    return comp
+
+
+def _positions(comp: np.ndarray) -> np.ndarray:
+    """The positions of sorted composites, in place, as int64."""
+    comp &= np.uint64(0xFFFF_FFFF)
+    return comp.view(np.int64)
+
+
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of integers in [0, 2**32)."""
+    return _positions(_sorted_composites(values))
+
+
+def stable_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sorted values, :func:`stable_argsort` order) in one sort."""
+    comp = _sorted_composites(values)
+    sorted_values = (comp >> np.uint64(32)).astype(values.dtype)
+    return sorted_values, _positions(comp)
 
 
 def partition_hist(ids: np.ndarray, a: int, b: int,
@@ -45,7 +77,7 @@ def partition_scatter(
     """
     if b <= a:
         return None
-    order = np.argsort(ids[a:b], kind="stable")
+    order = stable_argsort(ids[a:b])
     run_start = np.repeat(base_row, counts_row)
     run_origin = np.repeat(np.cumsum(counts_row) - counts_row, counts_row)
     dest = run_start + (np.arange(b - a) - run_origin)
@@ -61,7 +93,7 @@ def refine_chunk(
     hashes_out: np.ndarray, bounds: Sequence[Tuple[int, int]],
     sub_fanout: int,
 ) -> np.ndarray:
-    """Refine a chunk of parent partitions, one stable argsort each.
+    """Refine a chunk of parent partitions, one stable sort each.
 
     ``bounds`` holds each partition's [lo, hi) span; partitions only ever
     move tuples within their own span, so chunks are contention free.
@@ -70,27 +102,12 @@ def refine_chunk(
     sub_sizes = np.empty((len(bounds), sub_fanout), dtype=np.int64)
     for j, (lo, hi) in enumerate(bounds):
         pid = ids[lo:hi]
-        order = np.argsort(pid, kind="stable")
+        order = stable_argsort(pid)
         keys_out[lo:hi] = keys[lo:hi][order]
         pays_out[lo:hi] = payloads[lo:hi][order]
         hashes_out[lo:hi] = hashes[lo:hi][order]
         sub_sizes[j] = np.bincount(pid, minlength=sub_fanout)
     return sub_sizes
-
-
-def stable_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(sorted values, stable argsort order) of integers in [0, 2**32).
-
-    One unstable SIMD sort of ``value << 32 | position`` composites: the
-    position makes every composite distinct, so the result is the stable
-    order — several times faster than numpy's stable argsort, which is a
-    timsort for 32- and 64-bit integers.
-    """
-    comp = values.astype(np.uint64) << np.uint64(32)
-    comp |= np.arange(values.size, dtype=np.uint64)
-    comp.sort()
-    return ((comp >> np.uint64(32)).astype(values.dtype),
-            (comp & np.uint64(0xFFFF_FFFF)).astype(np.int64))
 
 
 def chain_links(

@@ -1,7 +1,8 @@
 """The query layer's hash-join operator.
 
-A vectorized volcano join: the build side is materialized into a sorted
-key index, and each probe batch is expanded into matching row pairs.  With
+A vectorized volcano join: the build side is materialized into a
+:class:`~repro.exec.matching.BuildIndex` of its row ids grouped by key,
+and each probe batch is expanded into matching row pairs.  With
 ``skew_aware=True`` the operator detects heavy build keys by sampling
 (CSH's recipe: sample + frequency threshold) and emits their cartesian
 expansions through a dedicated chunked path, so a single hot key cannot
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.core.csh.detector import detect_skewed_keys
 from repro.errors import ConfigError
+from repro.exec.matching import BuildIndex, build_index
 from repro.query.batch import Batch
 from repro.query.operators import DEFAULT_BATCH_SIZE, Operator
 from repro.types import SeedLike
@@ -77,10 +79,10 @@ class HashJoin(Operator):
     def __iter__(self) -> Iterator[Batch]:
         build = self._right.collect()
         build_keys = build.column(self._right_key).astype(np.uint32)
-        order = np.argsort(build_keys, kind="stable")
-        sorted_keys = build_keys[order]
-        group_keys, group_start = np.unique(sorted_keys, return_index=True)
-        group_count = np.diff(np.append(group_start, sorted_keys.size))
+        # The payloads are build row ids, so the index's payloads are the
+        # rows in key order and each group's rows keep their build order.
+        index = build_index(build_keys,
+                            np.arange(build_keys.size, dtype=np.uint32))
 
         skewed: Optional[np.ndarray] = None
         if self._skew_aware and build_keys.size:
@@ -94,27 +96,22 @@ class HashJoin(Operator):
             if skewed is not None and skewed.size:
                 hot = np.isin(probe_keys, skewed)
                 if hot.any():
-                    yield from self._emit(batch.filter(hot), build, order,
-                                          group_keys, group_start,
-                                          group_count)
+                    yield from self._emit(batch.filter(hot), build, index)
                     batch = batch.filter(~hot)
                     if len(batch) == 0:
                         continue
-            yield from self._emit(batch, build, order, group_keys,
-                                  group_start, group_count)
+            yield from self._emit(batch, build, index)
 
-    def _emit(self, batch: Batch, build: Batch, order, group_keys,
-              group_start, group_count) -> Iterator[Batch]:
+    def _emit(self, batch: Batch, build: Batch,
+              index: BuildIndex) -> Iterator[Batch]:
         """Expand one probe batch into output batches of bounded size."""
         probe_keys = batch.column(self._left_key).astype(np.uint32)
-        n = probe_keys.size
-        if n == 0 or group_keys.size == 0:
+        if probe_keys.size == 0 or index.keys.size == 0:
             return
-        pos = np.searchsorted(group_keys, probe_keys)
-        pos = np.minimum(pos, group_keys.size - 1)
-        hit = group_keys[pos] == probe_keys
-        cnt = np.where(hit, group_count[pos], 0)
-        start = np.where(hit, group_start[pos], 0)
+        groups = index.lookup(probe_keys)
+        hit = groups >= 0
+        cnt = np.where(hit, index.counts[groups], 0)
+        start = np.where(hit, index.starts[groups], 0)
         boundaries = self._chunk_boundaries(cnt)
         for a, b in zip(boundaries[:-1], boundaries[1:]):
             total = int(cnt[a:b].sum())
@@ -124,7 +121,7 @@ class HashJoin(Operator):
             run_origin = np.repeat(np.cumsum(cnt[a:b]) - cnt[a:b], cnt[a:b])
             within = np.arange(total) - run_origin
             build_sorted_idx = np.repeat(start[a:b], cnt[a:b]) + within
-            build_idx = order[build_sorted_idx]
+            build_idx = index.payloads[build_sorted_idx]
             columns = {}
             for out_name, (side, src) in self._out_names.items():
                 if side == "left":

@@ -41,7 +41,7 @@ hand-built relations.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -139,8 +139,11 @@ def relation_from_spec(spec: Dict) -> Relation:
             raise ProtocolError(
                 f"relation spec side must be 'r' or 's', got {side!r}")
         if generator == "zipf":
-            workload = ZipfWorkload(n, n, float(spec.get("theta", 1.0)),
-                                    seed=seed).generate()
+            zipf = ZipfWorkload(n, n, float(spec.get("theta", 1.0)),
+                                seed=seed)
+            if side == "r":
+                return zipf.generate_r()
+            workload = zipf.generate()
         elif generator == "uniform":
             workload = uniform_input(n, n, n_keys=spec.get("n_keys"),
                                      seed=seed)

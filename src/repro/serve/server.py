@@ -76,6 +76,8 @@ class ServeServer:
         self.drain_seconds = float(drain_seconds)
         self._server: Optional[asyncio.base_events.Server] = None
         self._tasks: Set[asyncio.Task] = set()
+        # Connection handler task -> its writer, so close can finish them.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._cancel_tokens: Set[CancelToken] = set()
         self._shutdown = asyncio.Event()
         self.draining = False
@@ -119,10 +121,17 @@ class ServeServer:
            ``RequestCancelled`` at its next morsel checkpoint, so the
            client still gets a well-formed error line.
         4. Anything still alive after a short grace is hard-cancelled.
+        5. Connection handlers are woken by closing their transports (a
+           transport still stuck after the grace is aborted) and run to
+           completion, so none is left for the loop to cancel.
         """
         self.draining = True
         if self._server is not None:
             self._server.close()
+        await self._drain_requests()
+        await self._finish_connections()
+
+    async def _drain_requests(self) -> None:
         tasks = {t for t in self._tasks if not t.done()}
         if not tasks:
             return
@@ -140,8 +149,29 @@ class ServeServer:
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
 
+    async def _finish_connections(self) -> None:
+        """Close every connection and await its handler.
+
+        A client that stopped reading keeps its transport's buffer full,
+        and a closing transport with buffered output never reports the
+        connection lost, so its handler would wait forever; after a
+        short grace such transports are aborted.
+        """
+        connections = dict(self._connections)
+        for writer in connections.values():
+            writer.close()
+        if not connections:
+            return
+        _done, pending = await asyncio.wait(
+            connections, timeout=_FORCE_CANCEL_GRACE_SECONDS)
+        for task in pending:
+            connections[task].transport.abort()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+
     async def close(self) -> None:
-        """Stop the listener and wait for in-flight request tasks."""
+        """Stop the listener, wait for in-flight request tasks, then
+        finish every connection handler."""
         self.shutdown()
         if self._server is not None:
             self._server.close()
@@ -153,6 +183,9 @@ class ServeServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self.connections += 1
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
         # One writer lock per connection: chunk lines from concurrent
         # probe tasks interleave whole-line, never mid-line.
         lock = asyncio.Lock()

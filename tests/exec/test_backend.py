@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.exec.backend import (
     BACKEND_ENV,
     BACKENDS,
+    PARALLEL,
     SCALAR,
     VECTOR,
     backend_from_env,
@@ -85,4 +86,6 @@ def test_dispatch_picks_by_backend():
     with use_backend(SCALAR):
         assert dispatch(scalar_impl, vector_impl)() == "s"
     with use_backend(VECTOR):
+        assert dispatch(scalar_impl, vector_impl)() == "v"
+    with use_backend(PARALLEL):
         assert dispatch(scalar_impl, vector_impl)() == "v"

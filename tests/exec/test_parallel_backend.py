@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import make_join
 from repro.cpu.chained_table import ChainedHashTable
@@ -30,7 +31,11 @@ from repro.exec.parallel import (
     shutdown_pool,
 )
 from repro.exec.parallel import pool as pool_mod
-from repro.exec.parallel.kernels import partition_hist
+from repro.exec.parallel.kernels import (
+    partition_hist,
+    stable_argsort,
+    stable_order,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -41,8 +46,6 @@ def test_inline_arena_carries_arrays_directly():
     arena = SharedArena()
     data = np.arange(10, dtype=np.uint32)
     assert arena.share(data) is data  # morsels read the caller's array
-    out = arena.empty(4, np.int64)
-    assert out.shape == (4,) and out.dtype == np.int64
 
 
 def test_shared_arena_ships_file_mapped_morsels_zero_copy(tmp_path):
@@ -193,6 +196,27 @@ def test_morsel_pool_respects_min_tuples(monkeypatch):
 
 
 # ------------------------------------------------------------- kernels
+
+_U32_MAX = 0xFFFF_FFFF
+
+
+@given(st.lists(st.one_of(st.integers(0, 3), st.just(_U32_MAX),
+                          st.integers(0, _U32_MAX)), max_size=300),
+       st.sampled_from([np.int64, np.uint32]))
+@example([], np.int64)
+@example([_U32_MAX], np.uint32)
+@example([7] * 50, np.int64)
+@example([_U32_MAX] * 9 + [0], np.uint32)
+@settings(max_examples=200, deadline=None)
+def test_stable_sorts_are_numpy_stable_argsort(values, dtype):
+    values = np.asarray(values, dtype=dtype)
+    sorted_values, order = stable_order(values)
+    assert sorted_values.dtype == values.dtype
+    assert np.array_equal(sorted_values, np.sort(values))
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(values, kind="stable"))
+    assert np.array_equal(stable_argsort(values), order)
+
 
 def _both_backends(fn):
     """fn() under vector and under parallel (2 threads, every phase)."""

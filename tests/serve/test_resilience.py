@@ -2,6 +2,7 @@
 
 import asyncio
 import contextlib
+import socket
 
 import pytest
 
@@ -440,8 +441,14 @@ def test_draining_server_refuses_new_probes_typed():
 
 def test_drain_cancels_stragglers_with_typed_errors():
     """Shutdown with a wedged in-flight probe: after drain_seconds its
-    cancel token fires and the client still gets a typed error line."""
+    cancel token fires and the client still gets a typed error line.
+    Every connection handler finishes: the loop reports no exception,
+    not even while ``asyncio.run`` tears it down."""
+    loop_errors = []
+
     async def scenario():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: loop_errors.append(context))
         async with serving(drain_seconds=0.05) as server:
             async with connected(server) as client:
                 await client.register("orders", BUILD_SPEC)
@@ -473,6 +480,44 @@ def test_drain_cancels_stragglers_with_typed_errors():
     assert (reply.error or {}).get("kind") == "RequestCancelled"
     assert reply.error["context"]["reason"] == "server drain"
     assert server.force_cancelled == 0
+    assert loop_errors == []
+
+
+def test_shutdown_completes_with_a_client_that_stopped_reading():
+    """A client that pipelines requests and never reads its replies
+    leaves the server's transport full; shutdown must still finish."""
+    from repro.serve.protocol import encode_message
+
+    async def scenario():
+        server = ServeServer(drain_seconds=0.05)
+        await server.start()
+        loop_task = asyncio.ensure_future(server.serve_until_shutdown())
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect((server.host, server.port))
+        _reader, writer = await asyncio.open_connection(sock=sock)
+        writer.write(encode_message({"op": "stats"}) * 20000)
+        for _ in range(1000):
+            if any(w.transport.get_write_buffer_size()
+                   for w in server._connections.values()):
+                break
+            await asyncio.sleep(0.01)
+        else:
+            raise AssertionError("the server's output never backed up")
+        closing = asyncio.ensure_future(server.close())
+        done, _ = await asyncio.wait({closing}, timeout=10)
+        hung = closing not in done
+        if hung:  # free the handlers so the test fails instead of hanging
+            for w in server._connections.values():
+                w.transport.abort()
+        await closing
+        await loop_task
+        writer.transport.abort()
+        return server, hung
+
+    server, hung = asyncio.run(scenario())
+    assert not hung, "shutdown waited forever on a stalled client"
+    assert not server._connections
 
 
 def test_midstream_disconnect_releases_the_slot_and_daemon_survives():

@@ -4,11 +4,19 @@ import asyncio
 import contextlib
 import json
 
+import numpy as np
+import pytest
+
 from repro.api import make_join
+from repro.data import zipf as zipf_module
 from repro.data.zipf import ZipfWorkload
 from repro.exec.serialize import results_from_jsonl_file
 from repro.serve.client import ServeClient
-from repro.serve.protocol import PROTOCOL_VERSION, encode_message
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    encode_message,
+    relation_from_spec,
+)
 from repro.serve.server import ServeServer
 
 N = 1024
@@ -18,6 +26,31 @@ SEED = 42
 BUILD_SPEC = {"generator": "zipf", "n": N, "theta": THETA, "seed": SEED,
               "side": "r"}
 PROBE_SPEC = {**BUILD_SPEC, "side": "s"}
+
+
+def _same_relation(a, b):
+    assert a.name == b.name
+    for x, y in ((a.keys, b.keys), (a.payloads, b.payloads)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n,theta,seed", [
+    (0, 1.0, 0), (1, 0.5, 3), (4097, 1.0, 7), (65536, 0.0, 2), (N, THETA, SEED),
+])
+def test_zipf_r_spec_is_generated_r_bit_for_bit(n, theta, seed):
+    """The R side skips S's interval search and payloads, yet draws the
+    same stream: R equals ``generate().r`` exactly."""
+    spec = {"generator": "zipf", "n": n, "theta": theta, "seed": seed,
+            "side": "r"}
+    want = ZipfWorkload(n, n, theta, seed=seed).generate()
+    _same_relation(relation_from_spec(spec), want.r)
+    _same_relation(relation_from_spec({**spec, "side": "s"}), want.s)
+
+
+def test_zipf_r_skips_s_draws_in_chunks_without_changing_r(monkeypatch):
+    want = ZipfWorkload(4097, 4097, 1.0, seed=7).generate().r
+    monkeypatch.setattr(zipf_module, "_DRAW_CHUNK", 1000)
+    _same_relation(ZipfWorkload(4097, 4097, 1.0, seed=7).generate_r(), want)
 
 
 @contextlib.asynccontextmanager
